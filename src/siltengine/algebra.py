@@ -109,11 +109,12 @@ class Algebra:
         return self.basis_vec(self.idem[cls])
 
     def el_mult(self, x, y):
-        return self.field.reduce(np.einsum("i,j,ijk->k", x, y, self.mult))
+        return self.field.reduce(y @ self.lm(x))
 
     def lm(self, x):
         """Matrix M with (x*y) = y @ M for row vectors y."""
-        return self.field.reduce(np.einsum("i,ijk->jk", x, self.mult))
+        d = self.dim
+        return self.field.reduce(x @ self.mult.reshape(d, d * d)).reshape(d, d)
 
     def rm(self, x):
         """Matrix M with (y*x) = y @ M for row vectors y."""
@@ -221,7 +222,7 @@ class Algebra:
             self.labels,
             self.tgt,
             self.src,
-            np.swapaxes(self.mult, 0, 1),
+            np.ascontiguousarray(np.swapaxes(self.mult, 0, 1)),
             self.idem,
             self.nclasses,
         )
@@ -229,16 +230,9 @@ class Algebra:
     # ---- idempotent decomposition --------------------------------------
 
     def corner_subalgebra(self, idem_vec):
-        """Structure constants of eAe for an idempotent element e.
-
-        Returns (basis_rows, mult_fn) where basis_rows spans eAe and
-        mult_fn works in ambient coordinates.
-        """
-        vecs = []
-        for b in range(self.dim):
-            w = self.el_mult(idem_vec, self.el_mult(self.basis_vec(b), idem_vec))
-            vecs.append(w)
-        return linalg.row_space(self.field, np.stack(vecs, axis=0))
+        """Canonical basis of eAe for an idempotent element e, as rows in
+        ambient coordinates."""
+        return self._corner_pair_space(idem_vec, idem_vec)
 
     def element_min_poly(self, x):
         return operator_min_poly(self.field, self.lm(x))
@@ -323,11 +317,10 @@ class Algebra:
         return False
 
     def _corner_pair_space(self, e, f):
-        vecs = [
-            self.el_mult(e, self.el_mult(self.basis_vec(b), f))
-            for b in range(self.dim)
-        ]
-        return linalg.row_space(self.field, np.stack(vecs, axis=0))
+        """Canonical basis of eAf: the rows e * b * f = (rm(f) @ lm(e))[b]."""
+        return linalg.row_space(
+            self.field, self.field.matmul(self.rm(f), self.lm(e))
+        )
 
     def is_basic(self, rng=None):
         groups = self.decompose_identity(rng)
@@ -447,7 +440,8 @@ def split_by_min_poly(F, x, op_matrix, unit, mult_fn):
     e = _eval_poly_on_element(F, vg, x, mult_fn, unit)
     if bool(np.all(e == 0)) or bool(np.all(F.reduce(e - unit) == 0)):
         return None
-    assert np.all(F.reduce(mult_fn(e, e) - e) == 0), "idempotent construction"
+    if not np.all(F.reduce(mult_fn(e, e) - e) == 0):
+        raise RuntimeError("idempotent construction")
     return e
 
 

@@ -44,7 +44,10 @@ def parse_field(text):
     if text == "Q":
         return linalg.RationalField()
     if text.isdigit():
-        return linalg.GF(int(text))
+        try:
+            return linalg.GF(int(text))
+        except ValueError:
+            raise ParseError("field %s is not a prime" % text) from None
     raise ParseError("unknown field %r (use Q or a prime)" % text)
 
 
@@ -581,7 +584,8 @@ def main(argv=None):
     except (ParseError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
-    except (silting.PreconditionError, alg_mod.NotNilpotentError) as exc:
+    except (silting.PreconditionError, alg_mod.NotNilpotentError,
+            alg_mod.FieldTooSmallError) as exc:
         sys.stderr.write("precondition: %s\n" % exc)
         return 2
     except RuntimeError as exc:

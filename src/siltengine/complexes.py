@@ -744,14 +744,16 @@ def chain_end_algebra(X):
     basis_flat = np.concatenate([idflat.reshape(1, -1), rest], axis=0)
     n = basis_flat.shape[0]
     basis_maps = [hs.map_from_flat(basis_flat[i]) for i in range(n)]
+    coords = linalg.Coords(F, basis_flat)
     mult = F.zeros((n, n, n))
     for i in range(n):
-        for j in range(n):
-            comp = hs.flat_of(basis_maps[i].compose(basis_maps[j]))
-            co = linalg.coords_in_basis(F, basis_flat, comp)
-            if co is None:
-                raise RuntimeError("chain endomorphisms not closed")
-            mult[i, j] = co
+        prods = np.stack([
+            hs.flat_of(basis_maps[i].compose(basis_maps[j])) for j in range(n)
+        ])
+        block = coords.of(prods)
+        if block is None:
+            raise RuntimeError("chain endomorphisms not closed")
+        mult[i] = block
     E = alg_mod.Algebra(
         F, ["f%d" % i for i in range(n)], [0] * n, [0] * n, mult, [0], 1
     )

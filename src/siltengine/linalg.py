@@ -4,11 +4,19 @@ All matrices are numpy arrays: int64 entries reduced to [0, p) for GF(p),
 Fraction objects for the rationals.  Subspaces are represented by matrices
 whose rows form a basis; canonical form is the reduced row echelon form with
 zero rows dropped, so equal subspaces compare equal entrywise.
+
+Solves factor once and solve many: `solve_matrix` reduces `[a | b]` once
+for every column of b, and `coords_in_basis`, `in_span` and `solve` are
+one-column cases of it.  `Coords` factors a basis of independent rows once
+and then gives the coordinates of a whole batch of vectors with one matrix
+product, checked by multiplying back.  `complement` picks its rows from
+the pivot columns of one reduction.
 """
 
 from fractions import Fraction
 
 import numpy as np
+import sympy
 
 
 class FieldMismatchError(ValueError):
@@ -19,8 +27,8 @@ class GF:
     """Prime field F_p with p fitting in a machine word."""
 
     def __init__(self, p):
-        if p < 2:
-            raise ValueError("p must be a prime >= 2")
+        if not sympy.isprime(p):
+            raise ValueError("p = %d is not a prime" % p)
         self.p = p
 
     def __eq__(self, other):
@@ -213,45 +221,73 @@ def solve(F, a, b):
 
     Returns (particular, kernel_rows) or None if inconsistent.
     """
-    b = np.asarray(b).reshape(-1)
-    if a.shape[0] != b.shape[0]:
-        raise ValueError("a.rows must equal b.rows")
-    aug = np.concatenate([a, b.reshape(-1, 1)], axis=1)
-    r, pivots = rref(F, aug)
-    if a.shape[1] in pivots:
+    x = solve_matrix(F, a, np.asarray(b).reshape(-1, 1))
+    if x is None:
         return None
-    x = F.zeros((a.shape[1],))
-    for j, pc in enumerate(pivots):
-        x[pc] = r[j, -1]
-    return x, kernel(F, a)
+    return x[:, 0], kernel(F, a)
 
 
 def solve_matrix(F, a, b):
-    """Solve a @ X = b columnwise; returns X or None if inconsistent."""
-    cols = []
-    for j in range(b.shape[1]):
-        res = solve(F, a, b[:, j])
-        if res is None:
-            return None
-        cols.append(res[0])
-    if not cols:
-        return F.zeros((a.shape[1], 0))
-    return np.stack(cols, axis=1)
+    """Solve a @ X = b for every column of b with one RREF of [a | b].
+
+    Returns the particular solution with all free variables zero, or None
+    if some column is inconsistent.
+    """
+    n = a.shape[1]
+    if b.shape[1] == 0:
+        return F.zeros((n, 0))
+    if a.shape[0] != b.shape[0]:
+        raise ValueError("a.rows must equal b.rows")
+    r, pivots = rref(F, np.concatenate([a, b], axis=1))
+    if pivots and pivots[-1] >= n:
+        return None
+    x = F.zeros((n, b.shape[1]))
+    x[pivots] = r[: len(pivots), n:]
+    return x
 
 
 def in_span(F, basis, v):
     """Is the row vector v in the row span of basis?"""
     if basis.shape[0] == 0:
         return bool(np.all(F.reduce(np.asarray(v)) == 0))
-    return solve(F, basis.T, np.asarray(v)) is not None
+    return coords_in_basis(F, basis, v) is not None
 
 
 def coords_in_basis(F, basis, v):
     """Coefficients x with x @ basis = v, or None."""
-    res = solve(F, basis.T, np.asarray(v))
-    if res is None:
+    x = solve_matrix(F, basis.T, np.asarray(v).reshape(-1, 1))
+    if x is None:
         return None
-    return res[0]
+    return x[:, 0]
+
+
+class Coords:
+    """Coordinates over a fixed basis of independent rows, factored once.
+
+    With P the pivot columns of the basis, basis[:, P] is invertible and
+    x @ basis = v forces x = v[P] @ inv(basis[:, P]).
+    """
+
+    def __init__(self, F, basis):
+        k, m = basis.shape
+        r, pivots = rref(F, np.concatenate([basis, F.eye(k)], axis=1))
+        if k and pivots[-1] >= m:
+            raise ValueError("basis rows are dependent")
+        self.field = F
+        self.basis = basis
+        self.pivots = pivots
+        # rref([basis | I]) = [E basis | E] with E basis[:, P] = I
+        self.inv = r[:, m:]
+
+    def of(self, vs):
+        """X with X @ basis = vs for a batch of rows vs, or None if some
+        row lies outside the span."""
+        F = self.field
+        vs = F.reduce(vs)
+        x = F.matmul(vs[:, self.pivots], self.inv)
+        if not np.array_equal(F.matmul(x, self.basis), vs):
+            return None
+        return x
 
 
 def sum_spaces(F, u, v):
@@ -289,19 +325,15 @@ def intersect_spaces(F, u, v):
 def complement(F, sub, whole):
     """Rows of `whole` completing a basis of `sub` to one of `whole`'s span.
 
-    Returns (comp_rows, coords) where comp_rows spans a complement of the
-    row space of sub inside that of whole.
+    Row i of whole is kept when it is not in the span of sub and the rows
+    before it: exactly the pivot columns of one RREF of [sub; whole]^T.
     """
-    cur = row_space(F, sub)
-    comp = []
-    for i in range(whole.shape[0]):
-        v = whole[i]
-        if not in_span(F, cur, v):
-            comp.append(v)
-            cur = sum_spaces(F, cur, v.reshape(1, -1))
-    if not comp:
+    if whole.shape[0] == 0:
         return F.zeros((0, whole.shape[1]))
-    return np.stack(comp, axis=0)
+    stacked = np.concatenate([sub, whole], axis=0) if sub.shape[0] else whole
+    _, pivots = rref(F, stacked.T)
+    k = stacked.shape[0] - whole.shape[0]
+    return whole[[c - k for c in pivots if c >= k]]
 
 
 def quotient_coords(F, sub, total_basis, v):

@@ -432,13 +432,10 @@ def submodule(M, vectors, closed=False):
     for b in range(M.A.dim):
         s, t = int(M.A.src[b]), int(M.A.tgt[b])
         img = F.matmul(pieces[s], M.act[b])
-        m = F.zeros((dims[s], dims[t]))
-        for i in range(dims[s]):
-            co = linalg.coords_in_basis(F, pieces[t], img[i])
-            if co is None:
-                raise RuntimeError("span is not action invariant")
-            m[i] = co
-        act.append(m)
+        m = linalg.solve_matrix(F, pieces[t].T, img.T)
+        if m is None:
+            raise RuntimeError("span is not action invariant")
+        act.append(m.T)
     S = Module(M.A, dims, act)
     incl = ModuleMap(S, M, [pieces[c] for c in range(M.A.nclasses)])
     return S, incl
@@ -714,14 +711,16 @@ def end_algebra(M):
     basis_flat = np.concatenate([idflat.reshape(1, -1), rest], axis=0)
     n = basis_flat.shape[0]
     basis_maps = [map_from_flat(M, M, basis_flat[i]) for i in range(n)]
+    coords = linalg.Coords(F, basis_flat)
     mult = F.zeros((n, n, n))
     for i in range(n):
-        for j in range(n):
-            comp = basis_maps[i].compose(basis_maps[j]).flat()
-            co = linalg.coords_in_basis(F, basis_flat, comp)
-            if co is None:
-                raise RuntimeError("endomorphism space not closed")
-            mult[i, j] = co
+        prods = np.stack(
+            [basis_maps[i].compose(basis_maps[j]).flat() for j in range(n)]
+        )
+        block = coords.of(prods)
+        if block is None:
+            raise RuntimeError("endomorphism space not closed")
+        mult[i] = block
     E = alg_mod.Algebra(
         F, ["f%d" % i for i in range(n)], [0] * n, [0] * n, mult, [0], 1
     )
@@ -766,17 +765,14 @@ def _split_off(M, emap):
     # retraction: apply e, then express in the image basis, per class
     pmats = []
     for c in range(M.A.nclasses):
-        basis_c = incl.mats[c]
-        pm = F.zeros((M.dims[c], S.dims[c]))
-        for i in range(M.dims[c]):
-            w = F.matmul(F.eye(M.dims[c])[i].reshape(1, -1), emap.mats[c])
-            co = linalg.coords_in_basis(F, basis_c, w[0]) if basis_c.shape[0] \
-                else F.zeros((0,))
-            pm[i] = co
-        pmats.append(pm)
+        pm = linalg.solve_matrix(F, incl.mats[c].T, emap.mats[c].T)
+        if pm is None:
+            raise RuntimeError("idempotent image splitting failed")
+        pmats.append(pm.T)
     proj = ModuleMap(M, S, pmats)
     comp = incl.compose(proj)
-    assert comp.is_isomorphism(), "idempotent image splitting failed"
+    if not comp.is_isomorphism():
+        raise RuntimeError("idempotent image splitting failed")
     return S, incl, proj
 
 

@@ -189,6 +189,17 @@ def test_split_by_min_poly_projection():
     assert not np.array_equal(e, F.eye(2))
 
 
+def test_split_by_min_poly_checks_idempotent():
+    """The e*e = e check raises, so it also runs under python -O."""
+    d = F.array([[0, 0], [0, 1]])
+
+    def mult(a, b):  # right for powers of d, wrong for the final e*e check
+        return F.matmul(a, b) if b is d else F.zeros(a.shape)
+
+    with pytest.raises(RuntimeError, match="idempotent construction"):
+        algebra.split_by_min_poly(F, d, d, F.eye(2), mult)
+
+
 def test_element_from_paths(paper_algebra):
     A = paper_algebra
     v = algebra.element_from_paths(A, [(1, ["alpha", "beta"])])

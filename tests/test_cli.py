@@ -224,3 +224,26 @@ def test_out_directory(tmp_path, capsys):
 def test_usage_error_exit_code(capsys):
     assert cli.main(["frobnicate"]) == 1
     assert cli.main([]) == 1
+
+
+def test_non_prime_field_is_refused(tmp_path, capsys):
+    argv = [fixture("paper_nakayama2.alg"), fixture("paper_nakayama2.cpx")]
+    assert cli.main(["check"] + argv + ["--field", "4"]) == 1
+    assert "field 4 is not a prime" in capsys.readouterr().err
+    alg = tmp_path / "f4.alg"
+    alg.write_text(read("paper_nakayama2.alg").replace("field 32003", "field 4"))
+    assert cli.main(["check", str(alg), argv[1]]) == 1
+    assert "field 4 is not a prime" in capsys.readouterr().err
+    with pytest.raises(cli.ParseError, match="not a prime"):
+        cli.parse_field("1")
+
+
+def test_field_too_small_is_a_precondition(capsys):
+    rc = cli.main([
+        "check", fixture("paper_nakayama2.alg"),
+        fixture("paper_nakayama2.cpx"), "--field", "3",
+    ])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("precondition:")
+    assert captured.out == ""

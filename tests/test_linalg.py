@@ -170,3 +170,162 @@ def test_sum_intersection_dimension(seed, rows1, rows2):
     s = linalg.sum_spaces(F, u, v)
     i = linalg.intersect_spaces(F, u, v)
     assert s.shape[0] + i.shape[0] == u.shape[0] + v.shape[0]
+
+
+# ---- factor-once solvers against the loop versions they replaced ---------
+
+
+def _ref_solve(F, a, b):
+    """Single-column solve by one RREF of [a | b] (the loop's building block)."""
+    aug = np.concatenate([a, np.asarray(b).reshape(-1, 1)], axis=1)
+    r, pivots = linalg.rref(F, aug)
+    if a.shape[1] in pivots:
+        return None
+    x = F.zeros((a.shape[1],))
+    for j, pc in enumerate(pivots):
+        x[pc] = r[j, -1]
+    return x
+
+
+def _ref_solve_matrix(F, a, b):
+    cols = []
+    for j in range(b.shape[1]):
+        x = _ref_solve(F, a, b[:, j])
+        if x is None:
+            return None
+        cols.append(x)
+    if not cols:
+        return F.zeros((a.shape[1], 0))
+    return np.stack(cols, axis=1)
+
+
+def _ref_complement(F, sub, whole):
+    """Greedy: keep each row of whole that is outside the span so far."""
+    cur = linalg.row_space(F, sub)
+    comp = []
+    for i in range(whole.shape[0]):
+        v = whole[i]
+        if not linalg.in_span(F, cur, v):
+            comp.append(v)
+            cur = linalg.sum_spaces(F, cur, v.reshape(1, -1))
+    if not comp:
+        return F.zeros((0, whole.shape[1]))
+    return np.stack(comp, axis=0)
+
+
+FIELDS = [GF(5), F, QQ]
+
+
+def _low_rank(F, rng, rows, cols, rank):
+    """Random matrix of rank <= rank, so spans and solves often fail."""
+    if rank == 0:
+        return F.zeros((rows, cols))
+    return F.matmul(_rand_matrix(F, rng, rows, rank),
+                    _rand_matrix(F, rng, rank, cols))
+
+
+def _same(x, y):
+    if x is None or y is None:
+        return x is None and y is None
+    return x.shape == y.shape and np.array_equal(x, y)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from(FIELDS),
+       st.integers(0, 5), st.integers(0, 5), st.integers(0, 4),
+       st.booleans())
+def test_solve_matrix_equals_columnwise_solve(seed, F, rows, cols, ncols,
+                                              consistent):
+    rng = random.Random(seed)
+    a = _low_rank(F, rng, rows, cols, rng.randrange(0, min(rows, cols) + 1))
+    if consistent:
+        b = F.matmul(a, _rand_matrix(F, rng, cols, ncols))
+    else:
+        b = _rand_matrix(F, rng, rows, ncols)
+    x = linalg.solve_matrix(F, a, b)
+    assert _same(x, _ref_solve_matrix(F, a, b))
+    for j in range(ncols):
+        res = linalg.solve(F, a, b[:, j])
+        assert _same(None if res is None else res[0],
+                     _ref_solve(F, a, b[:, j]))
+    if consistent:
+        assert x is not None and np.array_equal(F.matmul(a, x), b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from(FIELDS),
+       st.integers(0, 4), st.integers(0, 6), st.integers(1, 5))
+def test_complement_equals_greedy_loop(seed, F, nsub, nwhole, n):
+    rng = random.Random(seed)
+    sub = _low_rank(F, rng, nsub, n, rng.randrange(0, min(nsub, n) + 1))
+    whole = _low_rank(F, rng, nwhole, n, rng.randrange(0, n + 1))
+    got = linalg.complement(F, sub, whole)
+    assert _same(got, _ref_complement(F, sub, whole))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from(FIELDS),
+       st.integers(0, 4), st.integers(1, 6), st.integers(1, 5))
+def test_coords_equals_coords_in_basis(seed, F, k, m, nv):
+    rng = random.Random(seed)
+    basis = _low_rank(F, rng, k, m, rng.randrange(0, min(k, m) + 1))
+    if linalg.rank(F, basis) < k:
+        with pytest.raises(ValueError, match="dependent"):
+            linalg.Coords(F, basis)
+        return
+    coords = linalg.Coords(F, basis)
+    vs = F.matmul(_rand_matrix(F, rng, nv, k), basis)
+    if rng.random() < 0.5:
+        vs[rng.randrange(nv)] = _rand_matrix(F, rng, 1, m)[0]
+    rows = [linalg.coords_in_basis(F, basis, vs[i]) for i in range(nv)]
+    want = None if any(r is None for r in rows) else np.stack(rows)
+    assert _same(coords.of(vs), want)
+
+
+def test_coords_rejects_dependent_basis():
+    with pytest.raises(ValueError, match="dependent"):
+        linalg.Coords(F5, F5.array([[1, 2, 0], [2, 4, 0]]))
+
+
+# ---- algebra products against the einsum forms they replaced -------------
+
+
+def _ref_el_mult(A, x, y):
+    return A.field.reduce(np.einsum("i,j,ijk->k", x, y, A.mult))
+
+
+def _ref_pair_space(A, e, f):
+    vecs = [_ref_el_mult(A, e, _ref_el_mult(A, A.basis_vec(b), f))
+            for b in range(A.dim)]
+    return linalg.row_space(A.field, np.stack(vecs, axis=0))
+
+
+def _fixture_algebras(field):
+    from conftest import make_a2_algebra, make_a3_algebra, make_paper_algebra
+
+    out = []
+    for make in (make_a2_algebra, make_a3_algebra, make_paper_algebra):
+        A = make(field)
+        out += [A, A.opposite()]
+    return out
+
+
+def _rand_element(A, rng):
+    return A.field.reduce(
+        A.field.array([A.field.rand(rng) for _ in range(A.dim)])
+    )
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF32003", "Q"])
+def test_matrix_product_algebra_forms_equal_einsum(field):
+    rng = random.Random(7)
+    for A in _fixture_algebras(field):
+        idems = [e for g in A.decompose_identity() for e in g]
+        elements = idems + [A.unit(), _rand_element(A, rng)]
+        for x in elements:
+            assert np.array_equal(A.corner_subalgebra(x),
+                                  _ref_pair_space(A, x, x))
+            for y in elements:
+                assert np.array_equal(A.el_mult(x, y), _ref_el_mult(A, x, y))
+                assert np.array_equal(A._corner_pair_space(x, y),
+                                      _ref_pair_space(A, x, y))

@@ -46,6 +46,11 @@ def parse_field(text):
     if text.isdigit():
         try:
             return linalg.GF(int(text))
+        except linalg.FieldTooLargeError:
+            raise ParseError(
+                "field %s is too large: GF(p) needs p < 2^24 so that int64 "
+                "products cannot overflow" % text
+            ) from None
         except ValueError:
             raise ParseError("field %s is not a prime" % text) from None
     raise ParseError("unknown field %r (use Q or a prime)" % text)

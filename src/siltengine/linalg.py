@@ -23,10 +23,25 @@ class FieldMismatchError(ValueError):
     pass
 
 
+class FieldTooLargeError(ValueError):
+    """A prime too large for exact int64 arithmetic."""
+
+
 class GF:
-    """Prime field F_p with p fitting in a machine word."""
+    """Prime field F_p with p < 2^24.
+
+    Every product of two reduced matrices is taken in int64 before it is
+    reduced, so (p - 1)^2 * n must stay below 2^63 for an inner dimension n;
+    with p < 2^24 that holds for every n <= 2^15.
+    """
+
+    MAX_P = 2 ** 24
 
     def __init__(self, p):
+        if p >= self.MAX_P:
+            raise FieldTooLargeError(
+                "p = %d is not below 2^24 = %d" % (p, self.MAX_P)
+            )
         if not sympy.isprime(p):
             raise ValueError("p = %d is not a prime" % p)
         self.p = p

@@ -4,6 +4,20 @@ A module is graded by the idempotent classes of the algebra: M = sum of
 M e_c.  We store one dimension per class and one action matrix per
 algebra basis element b, mapping the src(b) piece to the tgt(b) piece.
 Vectors are rows and act on the right: m |-> m @ act[b].
+
+Modules and module maps are never changed after construction, so some
+objects are built once and shared: `projective_module(A, c)` is kept on A,
+and `min_resolution` keeps the longest minimal projective resolution of M
+built so far on M and hands out prefixes of it.  A minimal resolution is a
+deterministic function of M (it draws no random numbers), and each step
+depends only on the one before it, so a prefix of a longer resolution is
+exactly the shorter resolution built from scratch: memoising it cannot
+change any output.  `min_presentation` (hence `tau` and `tau_inverse`)
+and `ext_space` read from the same resolution.
+
+A map out of a sum of projectives e_{c_1} A + ... + e_{c_n} A is a free
+choice of generator images, generator k going into N e_{c_k}, so
+`ProjSum.hom_to` writes down a basis of Hom(P, N) without a kernel solve.
 """
 
 import random
@@ -23,13 +37,11 @@ class Module:
         self.act = act
         self.total = sum(self.dims)
         self.offsets = np.concatenate([[0], np.cumsum(self.dims)])
+        self._resolution = None  # see min_resolution
 
     def piece(self, v, c):
         """Class-c block of a total-coordinate row vector (or matrix)."""
         return v[..., self.offsets[c] : self.offsets[c + 1]]
-
-    def from_pieces(self, pieces):
-        return np.concatenate(pieces, axis=-1)
 
     def act_total(self, x):
         """Total-space matrix of the right action of an algebra element x."""
@@ -184,17 +196,6 @@ def map_from_flat(M, N, v):
     return ModuleMap(M, N, mats)
 
 
-def map_from_total(M, N, total):
-    """ModuleMap from a block-diagonal total-coordinate matrix."""
-    mats = [
-        total[
-            M.offsets[c] : M.offsets[c + 1], N.offsets[c] : N.offsets[c + 1]
-        ]
-        for c in range(M.A.nclasses)
-    ]
-    return ModuleMap(M, N, mats)
-
-
 def hom_space(M, N):
     """All module maps M -> N.
 
@@ -206,6 +207,7 @@ def hom_space(M, N):
     nflat = sum(M.dims[c] * N.dims[c] for c in range(A.nclasses))
     if nflat == 0:
         return [], F.zeros((0, 0))
+    off = _flat_offsets(M, N)
     rows = []
     for b in range(A.dim):
         s, t = int(A.src[b]), int(A.tgt[b])
@@ -213,7 +215,6 @@ def hom_space(M, N):
         blk = F.zeros((M.dims[int(A.src[b])] * N.dims[int(A.tgt[b])], nflat))
         # express each linear condition as a row over the flat coordinates
         # entry (i, j) of the condition block, unknowns f[t][k, j], f[s][i, l]
-        off = _flat_offsets(M, N)
         for i in range(M.dims[s]):
             for j in range(N.dims[t]):
                 r = i * N.dims[t] + j
@@ -275,7 +276,18 @@ def _submodule_of_regular(A, members, pos):
 
 
 def projective_module(A, c):
-    """e_c A, with generator bookkeeping for presentations."""
+    """e_c A, with generator bookkeeping for presentations.
+
+    Built once per (A, c) and kept on A; callers share the module.
+    """
+    if getattr(A, "_proj_cache", None) is None:
+        A._proj_cache = {}
+    if c not in A._proj_cache:
+        A._proj_cache[c] = _build_projective(A, c)
+    return A._proj_cache[c]
+
+
+def _build_projective(A, c):
     members = [b for b in range(A.dim) if A.src[b] == c]
     pos = [
         [b for b in members if A.tgt[b] == d] for d in range(A.nclasses)
@@ -521,11 +533,16 @@ def socle_vectors(M):
 
 
 class ProjSum:
-    """Direct sum of indecomposable projectives with generator bookkeeping."""
+    """Direct sum of indecomposable projectives with generator bookkeeping.
+
+    Summand k's class-d basis starts at row starts[k][d] of the sum's
+    class-d block, as `direct_sum` lays it out.
+    """
 
     def __init__(self, A, classes):
         self.A = A
         self.classes = list(classes)
+        self.starts = []
         if self.classes:
             mods = [projective_module(A, c) for c in self.classes]
             self.module, self.incls, self.projs = direct_sum(mods)
@@ -533,6 +550,10 @@ class ProjSum:
                 self.incls[k].apply(mods[k].gen) for k in range(len(mods))
             ]
             self.summands = mods
+            pos = [0] * A.nclasses
+            for m in mods:
+                self.starts.append(pos)
+                pos = [p + d for p, d in zip(pos, m.dims)]
         else:
             self.module = Module(
                 A,
@@ -552,21 +573,39 @@ class ProjSum:
             for c in range(self.A.nclasses)
         ]
         for k, c in enumerate(self.classes):
-            g = np.asarray(gen_images[k]).reshape(-1)
+            g = M.piece(np.asarray(gen_images[k]).reshape(1, -1), c)
             P = self.summands[k]
             for d in range(self.A.nclasses):
+                st = self.starts[k][d]
                 for i, b in enumerate(P.basis_members[d]):
-                    # position inside the sum's class-d block comes from
-                    # the inclusion map
-                    e = F.zeros((P.total,))
-                    e[P.offsets[d] + i] = 1
-                    tot = self.incls[k].apply(e)
-                    idx = int(np.flatnonzero(tot != 0)[0]) - self.module.offsets[d]
-                    img = F.matmul(
-                        M.piece(g.reshape(1, -1), c), M.act[b]
-                    )
-                    mats[d][idx] = img[0]
+                    mats[d][st + i] = F.matmul(g, M.act[b])[0]
         return ModuleMap(self.module, M, mats)
+
+    def hom_to(self, N):
+        """Basis of Hom(self.module, N) as (maps, flat), without a solve.
+
+        Basis map (k, i) sends generator k to the i-th basis vector of
+        N e_{c_k} and every other generator to 0, so its rows at summand
+        k's class-d basis element b are row i of N.act[b].  Unlike
+        `hom_space`, flat is not reduced to a canonical form.
+        """
+        F = self.A.field
+        M = self.module
+        off = _flat_offsets(M, N)
+        nflat = sum(M.dims[d] * N.dims[d] for d in range(self.A.nclasses))
+        blocks = []
+        for k, c in enumerate(self.classes):
+            blk = F.zeros((N.dims[c], nflat))
+            for d in range(self.A.nclasses):
+                nd = N.dims[d]
+                for i, b in enumerate(self.summands[k].basis_members[d]):
+                    r = off[d] + (self.starts[k][d] + i) * nd
+                    blk[:, r : r + nd] = N.act[b]
+            blocks.append(blk)
+        flat = np.concatenate(blocks, axis=0) if blocks else \
+            F.zeros((0, nflat))
+        maps = [map_from_flat(M, N, flat[i]) for i in range(flat.shape[0])]
+        return maps, flat
 
     def entry_matrix_to(self, other, f):
         """Express f: self.module -> other.module by algebra elements.
@@ -579,17 +618,13 @@ class ProjSum:
         entries = []
         for j, dj in enumerate(self.classes):
             y = f.apply(self.gens[j])
+            piece = other.module.piece(y.reshape(1, -1), dj)[0]
             row = []
-            for k, ck in enumerate(other.classes):
-                Pk = other.summands[k]
+            for k in range(len(other.classes)):
                 el = F.zeros((A.dim,))
-                piece = other.module.piece(y.reshape(1, -1), dj)[0]
-                for i, b in enumerate(Pk.basis_members[dj]):
-                    e = F.zeros((Pk.total,))
-                    e[Pk.offsets[dj] + i] = 1
-                    tot = other.incls[k].apply(e)
-                    idx = int(np.flatnonzero(tot != 0)[0]) - other.module.offsets[dj]
-                    el[b] = piece[idx]
+                st = other.starts[k][dj]
+                for i, b in enumerate(other.summands[k].basis_members[dj]):
+                    el[b] = piece[st + i]
                 row.append(el)
             entries.append(row)
         return entries
@@ -638,30 +673,28 @@ def projective_cover(M):
 
 def min_presentation(M):
     """(P1, P0, d1, cover) with P1 -> P0 -> M -> 0 minimal at both steps."""
-    P0, cover = projective_cover(M)
-    kv = kernel_vectors(cover)
-    K, incl = submodule(P0.module, kv, closed=True)
-    P1, kcover = projective_cover(K)
-    d1 = kcover.compose(incl)
-    return P1, P0, d1, cover
+    psums, maps, cover = min_resolution(M, 1)
+    return psums[1], psums[0], maps[0], cover
 
 
 def min_resolution(M, length):
-    """Minimal projective resolution P_length -> ... -> P_0 -> M."""
-    psums = []
-    maps = []
-    P0, cover = projective_cover(M)
-    psums.append(P0)
-    cur_map = cover
-    for _ in range(length):
-        kv = kernel_vectors(cur_map)
+    """Minimal projective resolution P_length -> ... -> P_0 -> M.
+
+    Returns (psums, maps, cover) with maps[i]: P_{i+1} -> P_i.  The longest
+    resolution built so far is kept on M; a shorter request gets a prefix
+    of it and a longer one extends it.
+    """
+    if M._resolution is None:
+        P0, cover = projective_cover(M)
+        M._resolution = ([P0], [], cover)
+    psums, maps, cover = M._resolution
+    while len(maps) < length:
+        kv = kernel_vectors(maps[-1] if maps else cover)
         K, incl = submodule(psums[-1].module, kv, closed=True)
         P, kc = projective_cover(K)
-        d = kc.compose(incl)
+        maps.append(kc.compose(incl))
         psums.append(P)
-        maps.append(d)
-        cur_map = d
-    return psums, maps, cover
+    return psums[: length + 1], maps[:length], cover
 
 
 # ---- transpose / tau ----------------------------------------------------
@@ -833,8 +866,9 @@ def ext_space(M, N, degree):
         raise ValueError("use hom_space for degree 0")
     F = M.field
     psums, dmaps, cover = min_resolution(M, degree + 1)
-    # Hom(P_i, N) flat bases
-    homs = [hom_space(ps.module, N) for ps in psums]
+    # Hom(P_i, N) bases; cocycles and coboundaries below are canonical row
+    # spaces, so they do not depend on the choice of these bases
+    homs = [ps.hom_to(N) for ps in psums]
     deltas = []
     for i, d in enumerate(dmaps):
         # delta_i : Hom(P_i, N) -> Hom(P_{i+1}, N), phi -> d_{i+1} . phi

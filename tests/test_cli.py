@@ -247,3 +247,25 @@ def test_field_too_small_is_a_precondition(capsys):
     assert rc == 2
     assert captured.err.startswith("precondition:")
     assert captured.out == ""
+
+
+def test_field_too_large_is_refused(tmp_path, capsys):
+    argv = [fixture("a2_tilt.alg"), fixture("a2_tilt.cpx")]
+    assert cli.main(["check"] + argv + ["--field", "2147483647"]) == 1
+    err = capsys.readouterr().err
+    assert "field 2147483647 is too large" in err
+    assert "not a prime" not in err
+    alg = tmp_path / "big.alg"
+    alg.write_text(read("a2_tilt.alg").replace("field 32003",
+                                                "field 16777259"))
+    assert cli.main(["check", str(alg), argv[1]]) == 1
+    assert "field 16777259 is too large" in capsys.readouterr().err
+
+
+def test_largest_accepted_prime_runs(capsys):
+    argv = [fixture("a2_tilt.alg"), fixture("a2_tilt.cpx")]
+    assert cli.main(["check"] + argv + ["--field", "16777213"]) == 0
+    out = capsys.readouterr().out
+    assert "field:   16777213" in out
+    assert cli.main(["check"] + argv) == 0
+    assert capsys.readouterr().out.replace("32003", "16777213") == out

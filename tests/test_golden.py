@@ -1,7 +1,11 @@
 """Golden reports: `silt` stdout and exit codes on the fixtures, byte for byte.
 
 The snapshots in tests/golden/ pin the reports an engine change must not
-move.  After a deliberate report change, rewrite them with
+move.  Besides the bundled fixtures they cover linear A4 (1 -> 2 -> 3 -> 4
+over GF(32003)), whose battery and `ar` reach Ext on more than three
+vertices.  Its algebra file is written from the ladder recipe at run time;
+its complex, tests/golden/linear_a4.cpx, is `silt complete` of the seed
+complex P2 --x1--> P1.  After a deliberate report change, rewrite them with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -11,6 +15,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 
 import pytest
 
@@ -20,6 +25,14 @@ FIXDIR = os.path.join(os.path.dirname(cli.__file__), "fixtures")
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 EXIT_CODES = os.path.join(GOLDEN, "exit_codes.json")
 FIXTURES = ("a2_tilt", "a3_silt", "paper_nakayama2")
+LINEAR_A4 = "linear_a4"
+
+
+def linear_a4_text():
+    """Path algebra of 1 -> 2 -> 3 -> 4, arrows x<i>: i -> i+1."""
+    lines = ["# Linear A4: 1 -> 2 -> 3 -> 4.", "field 32003", "vertices 4"]
+    lines += ["arrow x%d %d %d" % (i, i, i + 1) for i in range(1, 4)]
+    return "\n".join(lines) + "\n"
 
 
 def _cases():
@@ -43,6 +56,11 @@ def _cases():
         out.append((
             "a2_tilt-%s-Q.txt" % cmd, [cmd, alg, cpx, "--field", "Q"],
         ))
+    # LINEAR_A4 stands for the algebra file that _run writes.
+    cpx = os.path.join(GOLDEN, LINEAR_A4 + ".cpx")
+    out.append(("linear_a4-battery.json",
+                ["battery", LINEAR_A4, "--report", "json"]))
+    out.append(("linear_a4-ar.txt", ["ar", LINEAR_A4, cpx]))
     return out
 
 
@@ -50,9 +68,15 @@ CASES = _cases()
 
 
 def _run(argv):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        rc = cli.main(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        if LINEAR_A4 in argv:
+            alg = os.path.join(tmp, LINEAR_A4 + ".alg")
+            with open(alg, "w", encoding="utf-8") as fh:
+                fh.write(linear_a4_text())
+            argv = [alg if a == LINEAR_A4 else a for a in argv]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            rc = cli.main(argv)
     return rc, buf.getvalue()
 
 

@@ -329,3 +329,23 @@ def test_matrix_product_algebra_forms_equal_einsum(field):
                 assert np.array_equal(A.el_mult(x, y), _ref_el_mult(A, x, y))
                 assert np.array_equal(A._corner_pair_space(x, y),
                                       _ref_pair_space(A, x, y))
+
+
+def test_gf_refuses_p_at_least_2_to_the_24():
+    # int64 products of (p - 1)^2 terms would overflow: in GF(2^31 - 1)
+    # [p-1]*3 . [p-1]*3 came out as p - 1 instead of 3
+    for p in (2147483647, 2 ** 24 + 43, 2 ** 24):
+        with pytest.raises(linalg.FieldTooLargeError):
+            GF(p)
+    with pytest.raises(ValueError, match="not a prime"):
+        GF(2 ** 24 - 1)
+
+
+def test_gf_largest_prime_is_exact_up_to_inner_dimension_2_to_the_15():
+    p = 16777213
+    G = GF(p)
+    assert G.matmul(G.array([[p - 1] * 3]), G.array([[p - 1]] * 3))[0, 0] == 3
+    n = 2 ** 15
+    a = G.array(np.full((1, n), p - 1))
+    b = G.array(np.full((n, 1), p - 1))
+    assert G.matmul(a, b)[0, 0] == n % p

@@ -1,3 +1,6 @@
+import functools
+import random
+
 import numpy as np
 import pytest
 
@@ -198,3 +201,195 @@ def test_end_algebra_local(a2_algebra):
     ER, _ = modules.end_algebra(R)
     # End(A) = A^op for the regular module
     assert ER.dim == a2_algebra.dim
+
+
+# ---- ProjSum Hom basis, offset arithmetic, memoised resolutions ----------
+#
+# _ref_map_to and _ref_entry_matrix_to are the earlier versions, which found
+# each summand position by applying the inclusion to a unit vector; they are
+# kept as references for the offset arithmetic.
+
+
+def _ref_map_to(ps, M, gen_images):
+    F = ps.A.field
+    mats = [
+        F.zeros((ps.module.dims[c], M.dims[c]))
+        for c in range(ps.A.nclasses)
+    ]
+    for k, c in enumerate(ps.classes):
+        g = np.asarray(gen_images[k]).reshape(-1)
+        P = ps.summands[k]
+        for d in range(ps.A.nclasses):
+            for i, b in enumerate(P.basis_members[d]):
+                e = F.zeros((P.total,))
+                e[P.offsets[d] + i] = 1
+                tot = ps.incls[k].apply(e)
+                idx = int(np.flatnonzero(tot != 0)[0]) - ps.module.offsets[d]
+                img = F.matmul(M.piece(g.reshape(1, -1), c), M.act[b])
+                mats[d][idx] = img[0]
+    return modules.ModuleMap(ps.module, M, mats)
+
+
+def _ref_entry_matrix_to(ps, other, f):
+    A = ps.A
+    F = A.field
+    entries = []
+    for j, dj in enumerate(ps.classes):
+        y = f.apply(ps.gens[j])
+        row = []
+        for k in range(len(other.classes)):
+            Pk = other.summands[k]
+            el = F.zeros((A.dim,))
+            piece = other.module.piece(y.reshape(1, -1), dj)[0]
+            for i, b in enumerate(Pk.basis_members[dj]):
+                e = F.zeros((Pk.total,))
+                e[Pk.offsets[dj] + i] = 1
+                tot = other.incls[k].apply(e)
+                idx = int(np.flatnonzero(tot != 0)[0]) - other.module.offsets[dj]
+                el[b] = piece[idx]
+            row.append(el)
+        entries.append(row)
+    return entries
+
+
+@functools.lru_cache(maxsize=None)
+def _battery_cases(field):
+    """(algebra, battery modules) for the three fixture algebras."""
+    from conftest import make_a2_algebra, make_a3_algebra, make_paper_algebra
+
+    from siltengine import silting
+
+    out = []
+    for make in (make_a2_algebra, make_a3_algebra, make_paper_algebra):
+        A = make(field)
+        battery, _ = silting.module_battery(A, None, 30, 60, 0)
+        out.append((A, battery))
+    return out
+
+
+def _proj_sums(A, battery):
+    """ProjSums with repeated classes, plus every battery resolution term."""
+    sums = [modules.ProjSum(A, [c]) for c in range(A.nclasses)]
+    sums.append(modules.ProjSum(A, list(range(A.nclasses)) + [0, 0]))
+    sums.append(modules.ProjSum(A, []))
+    for M in battery:
+        sums += modules.min_resolution(M, 2)[0]
+    return sums
+
+
+def _fresh(M):
+    """A module equal to M that has built nothing yet."""
+    return modules.Module(M.A, M.dims, M.act)
+
+
+FIELDS = [linalg.GF(32003), linalg.QQ]
+FIELD_IDS = ["GF32003", "Q"]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_projsum_hom_to_spans_hom_space(field):
+    for A, battery in _battery_cases(field):
+        for ps in _proj_sums(A, battery):
+            for N in battery + [ps.module]:
+                maps, flat = ps.hom_to(N)
+                _, want = modules.hom_space(ps.module, N)
+                assert flat.shape[0] == len(maps)
+                assert flat.shape[0] == sum(N.dims[c] for c in ps.classes)
+                assert linalg.rank(field, flat) == flat.shape[0]
+                got = linalg.row_space(field, flat) if flat.shape[0] else \
+                    want
+                assert np.array_equal(got, want)
+                for m, row in zip(maps, flat):
+                    assert m.check()
+                    assert np.array_equal(m.flat(), row)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_projsum_offsets_equal_inclusion_apply(field):
+    rng = random.Random(3)
+    for A, battery in _battery_cases(field):
+        for ps in _proj_sums(A, battery):
+            for N in battery:
+                gens = [
+                    field.reduce(field.array(
+                        [field.rand(rng) for _ in range(N.total)]
+                    ))
+                    for _ in ps.classes
+                ]
+                got = ps.map_to(N, gens)
+                want = _ref_map_to(ps, N, gens)
+                for c in range(A.nclasses):
+                    assert np.array_equal(got.mats[c], want.mats[c])
+        pairs = []
+        for M in battery:
+            psums, dmaps, _ = modules.min_resolution(M, 2)
+            pairs += [(psums[i + 1], psums[i], d) for i, d in enumerate(dmaps)]
+        # random maps into a sum with repeated classes
+        big = _proj_sums(A, [])[A.nclasses]
+        for ps in _proj_sums(A, []):
+            maps, _ = ps.hom_to(big.module)
+            f = modules.zero_map(ps.module, big.module)
+            for m in maps:
+                f = f.add(m.scale(field.rand(rng)))
+            pairs.append((ps, big, f))
+        for src, tgt, f in pairs:
+            got = src.entry_matrix_to(tgt, f)
+            want = _ref_entry_matrix_to(src, tgt, f)
+            assert len(got) == len(want)
+            for grow, wrow in zip(got, want):
+                assert len(grow) == len(wrow)
+                for g, w in zip(grow, wrow):
+                    assert np.array_equal(g, w)
+
+
+def _same_ext(a, b):
+    assert a.dim == b.dim
+    assert np.array_equal(a.cocycles, b.cocycles)
+    assert np.array_equal(a.coboundaries, b.coboundaries)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_ext_space_fresh_equals_cached_either_order(field, monkeypatch):
+    for A, battery in _battery_cases(field):
+        for M in battery:
+            up, down = _fresh(M), _fresh(M)
+            for N in battery:
+                fresh = {d: modules.ext_space(_fresh(M), N, d)
+                         for d in (1, 2)}
+                _same_ext(modules.ext_space(up, N, 1), fresh[1])
+                _same_ext(modules.ext_space(up, N, 2), fresh[2])
+                _same_ext(modules.ext_space(down, N, 2), fresh[2])
+                _same_ext(modules.ext_space(down, N, 1), fresh[1])
+    # the same results as with hom_space's bases of Hom(P_i, N)
+    for A, battery in _battery_cases(field):
+        got = [[modules.ext_space(M, N, 1) for N in battery]
+               for M in battery]
+        monkeypatch.setattr(modules.ProjSum, "hom_to",
+                            lambda ps, N: modules.hom_space(ps.module, N))
+        for M, row in zip(battery, got):
+            for N, ext in zip(battery, row):
+                _same_ext(ext, modules.ext_space(_fresh(M), N, 1))
+        monkeypatch.undo()
+
+
+def test_resolution_is_built_once_and_cut(paper_algebra):
+    A = paper_algebra
+    assert modules.projective_module(A, 1) is modules.projective_module(A, 1)
+    S = _fresh(modules.simple_module(A, 0))
+    psums, maps, cover = modules.min_resolution(S, 1)
+    assert len(psums) == 2 and len(maps) == 1
+    long_psums, long_maps, long_cover = modules.min_resolution(S, 3)
+    assert len(long_psums) == 4 and len(long_maps) == 3
+    # the longer resolution extends the shorter one
+    assert long_cover is cover
+    assert long_psums[:2] == psums and long_maps[:1] == maps
+    for d, e in zip(long_maps[1:], long_maps):
+        assert d.check() and d.compose(e).is_zero()
+    P1, P0, d1, cov = modules.min_presentation(S)
+    assert (P1, P0, d1, cov) == (psums[1], psums[0], maps[0], cover)
+    # the same resolution as one built from scratch
+    ref_psums, ref_maps, _ = modules.min_resolution(_fresh(S), 3)
+    assert [p.classes for p in ref_psums] == [p.classes for p in long_psums]
+    for d, e in zip(ref_maps, long_maps):
+        for c in range(A.nclasses):
+            assert np.array_equal(d.mats[c], e.mats[c])

@@ -88,6 +88,10 @@ class Algebra:
         self.nclasses = nclasses
         self.quiver = quiver
         self.basis_paths = basis_paths
+        d = self.dim
+        # rm(x) = x @ rm_table: row j, column (i, k) holds mult[i, j, k]
+        self._rm_table = np.ascontiguousarray(
+            np.swapaxes(mult, 0, 1)).reshape(d, d * d)
         self._rad = None
         self._radsq = None
         self._corner_cache = {}
@@ -109,16 +113,19 @@ class Algebra:
         return self.basis_vec(self.idem[cls])
 
     def el_mult(self, x, y):
-        return self.field.reduce(y @ self.lm(x))
+        return self.field.matmul(y.reshape(1, self.dim), self.lm(x))[0]
 
     def lm(self, x):
         """Matrix M with (x*y) = y @ M for row vectors y."""
         d = self.dim
-        return self.field.reduce(x @ self.mult.reshape(d, d * d)).reshape(d, d)
+        return self.field.matmul(
+            x.reshape(1, d), self.mult.reshape(d, d * d)).reshape(d, d)
 
     def rm(self, x):
         """Matrix M with (y*x) = y @ M for row vectors y."""
-        return self.field.reduce(np.einsum("j,ijk->ik", x, self.mult))
+        d = self.dim
+        return self.field.matmul(
+            x.reshape(1, d), self._rm_table).reshape(d, d)
 
     def corner(self, i, j):
         """Basis indices of e_i A e_j."""
@@ -132,9 +139,19 @@ class Algebra:
     # ---- structure ------------------------------------------------------
 
     def check_associative(self):
-        lhs = np.einsum("ijm,mkl->ijkl", self.mult, self.mult)
-        rhs = np.einsum("jkm,iml->ijkl", self.mult, self.mult)
-        return bool(np.all(self.field.reduce(lhs - rhs) == 0))
+        """(b_i b_j) b_k = b_i (b_j b_k) for all basis elements.
+
+        With flat = mult as a (d*d, d) matrix, flat @ mult.reshape(d, d*d)
+        holds the left side at row (i, j), column (k, l), and block i of
+        the right side, rows (j, k) and column l, is flat @ mult[i].
+        """
+        F, d = self.field, self.dim
+        flat = self.mult.reshape(d * d, d)
+        lhs = F.matmul(flat, self.mult.reshape(d, d * d)).reshape(d, d * d, d)
+        return all(
+            np.array_equal(lhs[i], F.matmul(flat, self.mult[i]))
+            for i in range(d)
+        )
 
     def check_idempotents(self):
         one = self.unit()
@@ -169,10 +186,10 @@ class Algebra:
             raise FieldTooSmallError(
                 "field too small for radical computation (p <= dim)"
             )
-        t = self.field.reduce(np.einsum("ijj->i", self.mult))
-        gram = self.field.reduce(np.einsum("ijk,k->ij", self.mult, t))
-        rad = linalg.kernel(self.field, gram.T)
-        rad = linalg.row_space(self.field, rad)
+        F, d = self.field, self.dim
+        t = F.reduce(np.einsum("ijj->i", self.mult))
+        gram = F.matmul(self.mult.reshape(d * d, d), t.reshape(d, 1))
+        rad = linalg.row_space(F, linalg.kernel(F, gram.reshape(d, d).T))
         self._verify_nilpotent(rad)
         self._rad = rad
         return rad
@@ -182,9 +199,7 @@ class Algebra:
         for _ in range(self.dim + 1):
             if cur.shape[0] == 0:
                 return
-            prods = [self.el_mult(u, v) for u in cur for v in sub]
-            nxt = linalg.row_space(self.field, np.stack(prods, axis=0)) if prods else \
-                self.field.zeros((0, self.dim))
+            nxt = self._products(cur, sub)
             if nxt.shape[0] >= cur.shape[0]:
                 raise RuntimeError("radical candidate is not nilpotent")
             cur = nxt
@@ -194,12 +209,16 @@ class Algebra:
         if self._radsq is not None:
             return self._radsq
         rad = self.radical()
-        prods = [self.el_mult(u, v) for u in rad for v in rad]
-        if prods:
-            self._radsq = linalg.row_space(self.field, np.stack(prods, axis=0))
-        else:
-            self._radsq = self.field.zeros((0, self.dim))
+        self._radsq = self._products(rad, rad)
         return self._radsq
+
+    def _products(self, left, right):
+        """Canonical basis of the span of u * v, u a row of left and v one
+        of right: u * v = v @ lm(u), so one product right @ lm(u) per u."""
+        if left.shape[0] == 0 or right.shape[0] == 0:
+            return self.field.zeros((0, self.dim))
+        prods = [self.field.matmul(right, self.lm(u)) for u in left]
+        return linalg.row_space(self.field, np.concatenate(prods, axis=0))
 
     def in_radical(self, x):
         return linalg.in_span(self.field, self.radical(), x)
@@ -234,9 +253,6 @@ class Algebra:
         ambient coordinates."""
         return self._corner_pair_space(idem_vec, idem_vec)
 
-    def element_min_poly(self, x):
-        return operator_min_poly(self.field, self.lm(x))
-
     def decompose_identity(self, rng=None):
         """Primitive orthogonal idempotents, grouped into isomorphism classes.
 
@@ -267,25 +283,16 @@ class Algebra:
                 groups.append([e])
         return groups
 
-    def _corner_is_local(self, e):
-        corner = self.corner_subalgebra(e)
-        rad = self.radical()
-        inter = linalg.intersect_spaces(self.field, corner, rad)
+    def _corner_is_local(self, corner):
+        inter = linalg.intersect_spaces(self.field, corner, self.radical())
         return corner.shape[0] - inter.shape[0] == 1
 
     def _split_idempotent(self, e, rng):
         """A proper idempotent below e, or None if e is primitive."""
-        if self._corner_is_local(e):
-            return None
         corner = self.corner_subalgebra(e)
-        candidates = [corner[i] for i in range(corner.shape[0])]
-        for _ in range(48):
-            coeffs = [self.field.rand(rng) for _ in range(corner.shape[0])]
-            v = self.field.reduce(
-                sum(c * corner[i] for i, c in enumerate(coeffs))
-            )
-            candidates.append(v)
-        for x in candidates:
+        if self._corner_is_local(corner):
+            return None
+        for x in _candidates(self.field, corner, rng, 48):
             u = split_by_min_poly(
                 self.field, x, self.lm(x), e, lambda a, b: self.el_mult(a, b)
             )
@@ -299,19 +306,15 @@ class Algebra:
         fAe = self._corner_pair_space(f, e)
         if eAf.shape[0] == 0 or fAe.shape[0] == 0:
             return False
-        trials = [eAf[i] for i in range(eAf.shape[0])]
-        for _ in range(24):
-            coeffs = [self.field.rand(rng) for _ in range(eAf.shape[0])]
-            trials.append(
-                self.field.reduce(sum(c * eAf[i] for i, c in enumerate(coeffs)))
-            )
-        for u in trials:
+        F = self.field
+        for u in _candidates(F, eAf, rng, 24):
             # solve v @ ... : u*v = e and v*u = f, v constrained to fAe span
             m_uv = self.lm(u)          # (u*v) = v @ m_uv
             m_vu = self.rm(u)          # (v*u) = v @ m_vu
-            a = np.concatenate([fAe @ m_uv, fAe @ m_vu], axis=1)
+            a = np.concatenate(
+                [F.matmul(fAe, m_uv), F.matmul(fAe, m_vu)], axis=1)
             b = np.concatenate([e, f])
-            res = linalg.solve(self.field, self.field.reduce(a).T, b)
+            res = linalg.solve(F, a.T, b)
             if res is not None:
                 return True
         return False
@@ -354,6 +357,21 @@ class Algebra:
 # ---- generic idempotent machinery ---------------------------------------
 
 
+def _candidates(F, basis, rng, ntrials):
+    """The rows of basis, then ntrials random combinations of them.
+
+    All coefficients are drawn up front, so the rng advances by the same
+    amount however early the caller stops; each combination is formed
+    only when the caller reaches it.
+    """
+    k = basis.shape[0]
+    coeffs = [[F.rand(rng) for _ in range(k)] for _ in range(ntrials)]
+    for i in range(k):
+        yield basis[i]
+    for c in coeffs:
+        yield F.matmul(F.array([c]), basis)[0]
+
+
 def operator_min_poly(F, m):
     """Minimal polynomial (coefficient list, low to high, monic) of a matrix."""
     n = m.shape[0]
@@ -379,11 +397,15 @@ def _normalize_poly(F, coeffs):
 
 
 def _poly_to_sympy(F, coeffs):
-    expr = sum(sympy.Integer(0) + sympy.nsimplify(c) * z**i
-               for i, c in enumerate(coeffs))
+    """sympy Poly in z from a coefficient list, low to high."""
+    high_to_low = list(reversed(coeffs))
     if isinstance(F, linalg.GF):
-        return sympy.Poly(expr, z, modulus=F.p, symmetric=False)
-    return sympy.Poly(expr, z, domain="QQ")
+        return sympy.Poly([int(c) for c in high_to_low], z,
+                          modulus=F.p, symmetric=False)
+    return sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator) for c in high_to_low],
+        z, domain="QQ",
+    )
 
 
 def factor_min_poly(F, coeffs):

@@ -11,16 +11,19 @@ one-column cases of it.  `Coords` factors a basis of independent rows once
 and then gives the coordinates of a whole batch of vectors with one matrix
 product, checked by multiplying back.  `complement` picks its rows from
 the pivot columns of one reduction.
+
+Products go through `F.matmul`.  Over GF(p) it is a plain int64 `@`
+reduced mod p.  Over Q it skips zeros: each nonzero a[i, k] scales the
+nonzero entries of row k of b, so a product costs one Fraction
+multiply-add per pair of nonzero factors instead of one per term of the
+dense sum, most of which are zero in the sparse structure-constant and
+action matrices the engine multiplies.
 """
 
 from fractions import Fraction
 
 import numpy as np
 import sympy
-
-
-class FieldMismatchError(ValueError):
-    pass
 
 
 class FieldTooLargeError(ValueError):
@@ -102,7 +105,7 @@ class RationalField:
 
     def zeros(self, shape):
         out = np.empty(shape, dtype=object)
-        out.reshape(-1)[:] = [Fraction(0)] * out.size
+        out.fill(_ZERO)
         return out
 
     def eye(self, n):
@@ -118,9 +121,27 @@ class RationalField:
         return Fraction(1) / a
 
     def matmul(self, a, b):
+        """a @ b, one multiply-add per pair of nonzero factors.
+
+        For each nonzero a[i, k], a[i, k] * b[k, S_k] is added into
+        out[i, S_k], with S_k the nonzero columns of row k of b, found
+        once per call and only for the rows a touches.  Every entry of
+        the result is a Fraction.
+        """
         if a.shape[1] != b.shape[0]:
             raise ValueError("shape mismatch")
-        return a.dot(b)
+        out = self.zeros((a.shape[0], b.shape[1]))
+        # astype(bool) tests each entry with Fraction.__bool__, which is
+        # cheaper than comparing with 0
+        rows, ks = np.nonzero(a.astype(bool))
+        support = {
+            k: np.flatnonzero(b[k].astype(bool)) for k in set(ks.tolist())
+        }
+        for i, k in zip(rows.tolist(), ks.tolist()):
+            s = support[k]
+            if s.size:
+                out[i, s] += a[i, k] * b[k, s]
+        return out
 
     def neg(self, arr):
         return -arr
@@ -130,51 +151,7 @@ class RationalField:
 
 
 QQ = RationalField()
-
-
-class Mat:
-    """Field-tagged matrix; guards against mixing ground fields."""
-
-    def __init__(self, field, data):
-        self.field = field
-        self.a = field.array(data)
-        if self.a.ndim != 2:
-            raise ValueError("Mat is 2-dimensional")
-
-    @property
-    def rows(self):
-        return self.a.shape[0]
-
-    @property
-    def cols(self):
-        return self.a.shape[1]
-
-    def _check(self, other):
-        if self.field != other.field:
-            raise FieldMismatchError("mixed field tags")
-
-    def __matmul__(self, other):
-        self._check(other)
-        return Mat(self.field, self.field.matmul(self.a, other.a))
-
-    def __add__(self, other):
-        self._check(other)
-        return Mat(self.field, self.field.reduce(self.a + other.a))
-
-    def __sub__(self, other):
-        self._check(other)
-        return Mat(self.field, self.field.reduce(self.a - other.a))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Mat)
-            and self.field == other.field
-            and self.a.shape == other.a.shape
-            and bool(np.all(self.a == other.a))
-        )
-
-    def __repr__(self):
-        return "Mat(%r, %r)" % (self.field, self.a.tolist())
+_ZERO = Fraction(0)
 
 
 def rref(F, a):

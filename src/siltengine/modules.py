@@ -464,23 +464,27 @@ def quotient_module(M, sub_vectors):
         for c in range(M.A.nclasses)
     ]
     dims = [comp.shape[0] for comp in comps]
-    act = []
-    for b in range(M.A.dim):
-        s, t = int(M.A.src[b]), int(M.A.tgt[b])
-        img = F.matmul(comps[s], M.act[b])
-        m = F.zeros((dims[s], dims[t]))
-        for i in range(dims[s]):
-            m[i] = linalg.quotient_coords(F, pieces[t], comps[t], img[i])
-        act.append(m)
+    # [pieces[c]; comps[c]] is a basis of class c; coordinates over it,
+    # less the first pieces[c].shape[0], are the coordinates modulo the
+    # submodule.
+    coords = [
+        linalg.Coords(F, np.concatenate([pieces[c], comps[c]], axis=0))
+        for c in range(M.A.nclasses)
+    ]
+
+    def quotient_rows(c, vs):
+        x = coords[c].of(vs)
+        if x is None:
+            raise RuntimeError("vector not in the spanned space")
+        return x[:, pieces[c].shape[0]:]
+
+    act = [
+        quotient_rows(int(M.A.tgt[b]),
+                      F.matmul(comps[int(M.A.src[b])], M.act[b]))
+        for b in range(M.A.dim)
+    ]
     Q = Module(M.A, dims, act)
-    pmats = []
-    for c in range(M.A.nclasses):
-        pm = F.zeros((M.dims[c], dims[c]))
-        for i in range(M.dims[c]):
-            pm[i] = linalg.quotient_coords(
-                F, pieces[c], comps[c], F.eye(M.dims[c])[i]
-            )
-        pmats.append(pm)
+    pmats = [quotient_rows(c, F.eye(M.dims[c])) for c in range(M.A.nclasses)]
     return Q, ModuleMap(M, Q, pmats)
 
 

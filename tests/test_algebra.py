@@ -2,11 +2,12 @@ import random
 
 import numpy as np
 import pytest
+import sympy
 
 from siltengine import algebra, linalg
 from siltengine.linalg import GF, QQ
 
-from conftest import make_a2_algebra, make_paper_algebra
+from conftest import make_a2_algebra, make_a3_algebra, make_paper_algebra
 
 F = GF(32003)
 
@@ -225,3 +226,225 @@ def test_min_poly_random_annihilates():
             power = F.matmul(power, m)
         assert np.all(acc == 0)
         assert coeffs[-1] == 1
+
+
+# ---- products, associativity, sympy polys and idempotent candidates against
+# the dense and eager forms they replaced, kept here as references ----------
+
+FIELDS = [F, QQ]
+FIELD_IDS = ["GF32003", "Q"]
+
+
+def _ref_lm(A, x):
+    d = A.dim
+    return A.field.reduce(x @ A.mult.reshape(d, d * d)).reshape(d, d)
+
+
+def _ref_rm(A, x):
+    return A.field.reduce(np.einsum("j,ijk->ik", x, A.mult))
+
+
+def _ref_el_mult(A, x, y):
+    return A.field.reduce(y @ _ref_lm(A, x))
+
+
+def _ref_check_associative(A):
+    lhs = np.einsum("ijm,mkl->ijkl", A.mult, A.mult)
+    rhs = np.einsum("jkm,iml->ijkl", A.mult, A.mult)
+    return bool(np.all(A.field.reduce(lhs - rhs) == 0))
+
+
+def _ref_poly_to_sympy(F, coeffs):
+    from sympy.abc import z
+
+    expr = sum(sympy.Integer(0) + sympy.nsimplify(c) * z**i
+               for i, c in enumerate(coeffs))
+    if isinstance(F, linalg.GF):
+        return sympy.Poly(expr, z, modulus=F.p, symmetric=False)
+    return sympy.Poly(expr, z, domain="QQ")
+
+
+def _ref_split_idempotent(A, e, rng):
+    """Every candidate is formed before the first is tried."""
+    F = A.field
+    corner = A.corner_subalgebra(e)
+    inter = linalg.intersect_spaces(F, corner, A.radical())
+    if corner.shape[0] - inter.shape[0] == 1:
+        return None
+    candidates = [corner[i] for i in range(corner.shape[0])]
+    for _ in range(48):
+        coeffs = [F.rand(rng) for _ in range(corner.shape[0])]
+        candidates.append(
+            F.reduce(sum(c * corner[i] for i, c in enumerate(coeffs))))
+    for x in candidates:
+        u = algebra.split_by_min_poly(
+            F, x, _ref_lm(A, x), e, lambda a, b: _ref_el_mult(A, a, b))
+        if u is not None:
+            return u
+    raise algebra.NonSplitError("non-split semisimple quotient")
+
+
+def _ref_idempotents_isomorphic(A, e, f, rng):
+    F = A.field
+    eAf = A._corner_pair_space(e, f)
+    fAe = A._corner_pair_space(f, e)
+    if eAf.shape[0] == 0 or fAe.shape[0] == 0:
+        return False
+    trials = [eAf[i] for i in range(eAf.shape[0])]
+    for _ in range(24):
+        coeffs = [F.rand(rng) for _ in range(eAf.shape[0])]
+        trials.append(F.reduce(sum(c * eAf[i] for i, c in enumerate(coeffs))))
+    for u in trials:
+        a = np.concatenate([fAe @ _ref_lm(A, u), fAe @ _ref_rm(A, u)], axis=1)
+        b = np.concatenate([e, f])
+        if linalg.solve(F, F.reduce(a).T, b) is not None:
+            return True
+    return False
+
+
+def _ref_decompose_identity(A, rng):
+    prims = []
+    stack = [A.idem_vec(c) for c in range(A.nclasses)]
+    while stack:
+        e = stack.pop(0)
+        u = _ref_split_idempotent(A, e, rng)
+        if u is None:
+            prims.append(e)
+        else:
+            stack = [u, A.field.reduce(e - u)] + stack
+    groups = []
+    for e in prims:
+        for g in groups:
+            if _ref_idempotents_isomorphic(A, g[0], e, rng):
+                g.append(e)
+                break
+        else:
+            groups.append([e])
+    return groups
+
+
+def matrix_span_algebra(field, mats):
+    """One-class algebra on the span of square matrices closed under
+    products; mats[0] is the identity and the class idempotent."""
+    n = len(mats[0])
+    flat = field.array([np.asarray(m).reshape(-1) for m in mats])
+    d = flat.shape[0]
+    mult = field.zeros((d, d, d))
+    for i in range(d):
+        for j in range(d):
+            prod = field.matmul(flat[i].reshape(n, n), flat[j].reshape(n, n))
+            mult[i, j] = linalg.coords_in_basis(field, flat, prod.reshape(-1))
+    return algebra.structure_constant_algebra(
+        field, ["m%d" % i for i in range(d)], [0] * d, [0] * d, mult, [0], 1)
+
+
+# M_2 on a basis whose non-identity members have minimal polynomials
+# z^2 + 1, z^2 - 2 and z^2 - z + 1, irreducible over GF(32003): only the
+# random combinations can split 1.  Over Q a random combination almost
+# never has a split minimal polynomial, so the Q basis ends in E22.
+M2_IRREDUCIBLE_BASIS = [
+    [[1, 0], [0, 1]], [[0, 1], [-1, 0]], [[0, 1], [2, 0]], [[1, 1], [-1, 0]],
+]
+M2_BASIS = M2_IRREDUCIBLE_BASIS[:3] + [[[0, 0], [0, 1]]]
+# upper triangular 2 x 2 matrices: E22 splits 1, the two halves differ
+T2_BASIS = [[[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 0], [0, 1]]]
+
+
+def _algebras(field):
+    out = []
+    for make in (make_a2_algebra, make_a3_algebra, make_paper_algebra):
+        A = make(field)
+        out += [A, A.opposite()]
+    out.append(matrix_units_algebra(field))
+    out.append(matrix_span_algebra(field, M2_BASIS))
+    if field == F:
+        out.append(matrix_span_algebra(field, M2_IRREDUCIBLE_BASIS))
+    out.append(matrix_span_algebra(field, T2_BASIS))
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_lm_rm_equal_dense_forms(field):
+    rng = random.Random(3)
+    for A in _algebras(field):
+        elements = [A.basis_vec(b) for b in range(A.dim)]
+        elements += [A.unit(), field.zeros((A.dim,))]
+        elements += [
+            field.array([field.rand(rng) for _ in range(A.dim)])
+            for _ in range(3)
+        ]
+        for x in elements:
+            assert np.array_equal(A.lm(x), _ref_lm(A, x))
+            assert np.array_equal(A.rm(x), _ref_rm(A, x))
+            for y in elements[:A.dim]:
+                assert np.array_equal(A.el_mult(x, y), _ref_el_mult(A, x, y))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_radical_equals_einsum_trace_form(field):
+    for A in _algebras(field):
+        t = field.reduce(np.einsum("ijj->i", A.mult))
+        gram = field.reduce(np.einsum("ijk,k->ij", A.mult, t))
+        want = linalg.row_space(field, linalg.kernel(field, gram.T))
+        assert np.array_equal(A.radical(), want)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_check_associative_detects_one_perturbed_entry(field):
+    rng = random.Random(5)
+    for A in _algebras(field):
+        assert A.check_associative() and _ref_check_associative(A)
+        d = A.dim
+        e = A.idem[0]
+        # e * e = 2e breaks (e * e) * b = e * (e * b) for b = e
+        positions = [(e, e, e)] + [
+            (rng.randrange(d), rng.randrange(d), rng.randrange(d))
+            for _ in range(4)
+        ]
+        for pos in positions:
+            mult = np.array(A.mult, copy=True)
+            mult[pos] = field.reduce(field.array([mult[pos] + 1]))[0]
+            B = algebra.Algebra(field, A.labels, A.src, A.tgt, mult, A.idem,
+                                A.nclasses)
+            assert B.check_associative() == _ref_check_associative(B)
+            if pos == (e, e, e):
+                assert not B.check_associative()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_decompose_identity_equals_eager_candidates(field, seed):
+    for A in _algebras(field):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = A.decompose_identity(rng)
+        want = _ref_decompose_identity(A, ref_rng)
+        assert [len(g) for g in got] == [len(g) for g in want]
+        for g, h in zip(got, want):
+            for x, y in zip(g, h):
+                assert np.array_equal(x, y)
+        assert rng.getstate() == ref_rng.getstate()
+
+
+def test_matrix_span_algebras_split_as_expected():
+    cases = [(F, M2_IRREDUCIBLE_BASIS, [2])]
+    for field in FIELDS:
+        cases += [(field, M2_BASIS, [2]), (field, T2_BASIS, [1, 1])]
+    for field, basis, sizes in cases:
+        groups = matrix_span_algebra(field, basis).decompose_identity()
+        assert [len(g) for g in groups] == sizes
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_poly_to_sympy_equals_nsimplify_form(field):
+    rng = random.Random(11)
+    cases = [[field.rand(rng) for _ in range(n)] + [1] for n in range(6)]
+    cases += [[0, 0, 1], [1, 1], [0, 1]]
+    for A in _algebras(field):
+        for b in range(A.dim):
+            cases.append(algebra.operator_min_poly(field, A.lm(A.basis_vec(b))))
+    for coeffs in cases:
+        coeffs = algebra._normalize_poly(field, coeffs)
+        got = algebra._poly_to_sympy(field, coeffs)
+        want = _ref_poly_to_sympy(field, coeffs)
+        assert got == want
+        assert got.factor_list() == want.factor_list()

@@ -8,6 +8,10 @@ its complex, tests/golden/linear_a4.cpx, is `silt complete` of the seed
 complex P2 --x1--> P1.  After a deliberate report change, rewrite them with
 
     PYTHONPATH=src python tests/test_golden.py
+
+tests/golden/paper_nakayama2-theorem-Q.json is not one of these cases: it
+is the JSON report of `theorem` on paper_nakayama2 with --field Q, and the
+rational-theorem CI job compares against it under a time limit.
 """
 
 import contextlib
@@ -55,6 +59,14 @@ def _cases():
     for cmd in ("check", "endo", "ar", "complete"):
         out.append((
             "a2_tilt-%s-Q.txt" % cmd, [cmd, alg, cpx, "--field", "Q"],
+        ))
+    out.append(("a2_tilt-theorem-Q.json",
+                ["theorem", alg, cpx, "--field", "Q", "--report", "json"]))
+    for fx in ("a3_silt", "paper_nakayama2"):
+        alg = os.path.join(FIXDIR, fx + ".alg")
+        cpx = os.path.join(FIXDIR, fx + ".cpx")
+        out.append((
+            "%s-check-Q.txt" % fx, ["check", alg, cpx, "--field", "Q"],
         ))
     # LINEAR_A4 stands for the algebra file that _run writes.
     cpx = os.path.join(GOLDEN, LINEAR_A4 + ".cpx")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siltengine import linalg
-from siltengine.linalg import GF, QQ, FieldMismatchError, Mat
+from siltengine.linalg import GF, QQ
 
 F5 = GF(5)
 F = GF(32003)
@@ -92,17 +92,6 @@ def test_invert_singular():
     assert linalg.invert(F, a) is None
 
 
-def test_mat_field_tag_mismatch():
-    a = Mat(GF(5), [[1, 0], [0, 1]])
-    b = Mat(GF(7), [[1, 0], [0, 1]])
-    c = Mat(QQ, [[1, 0], [0, 1]])
-    for other in (b, c):
-        with pytest.raises(FieldMismatchError):
-            a @ other
-        with pytest.raises(FieldMismatchError):
-            a + other
-
-
 def _rand_matrix(F, rng, rows, cols):
     a = F.zeros((rows, cols))
     for i in range(rows):
@@ -170,6 +159,44 @@ def test_sum_intersection_dimension(seed, rows1, rows2):
     s = linalg.sum_spaces(F, u, v)
     i = linalg.intersect_spaces(F, u, v)
     assert s.shape[0] + i.shape[0] == u.shape[0] + v.shape[0]
+
+
+# ---- zero-skipping rational product against the dense object dot ---------
+
+
+def _sparse_rational(rng, rows, cols, density):
+    """Object matrix, mostly zeros, mixing int and Fraction entries, with
+    whole zero rows and columns now and then."""
+    a = np.empty((rows, cols), dtype=object)
+    zero_rows = {i for i in range(rows) if rng.random() < 0.2}
+    zero_cols = {j for j in range(cols) if rng.random() < 0.2}
+    for i in range(rows):
+        for j in range(cols):
+            if i in zero_rows or j in zero_cols or rng.random() >= density:
+                a[i, j] = rng.choice([0, Fraction(0)])
+            elif rng.random() < 0.3:
+                a[i, j] = rng.randrange(-5, 6)
+            else:
+                a[i, j] = QQ.rand(rng)
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(0, 6), st.integers(0, 6),
+       st.integers(0, 6), st.sampled_from([0.0, 0.15, 0.5, 1.0]))
+def test_rational_matmul_equals_dense_dot(seed, m, k, n, density):
+    rng = random.Random(seed)
+    a = _sparse_rational(rng, m, k, density)
+    b = _sparse_rational(rng, k, n, density)
+    got = QQ.matmul(a, b)
+    assert got.shape == (m, n)
+    assert np.array_equal(got, a.dot(b))
+    assert all(type(x) is Fraction for x in got.reshape(-1))
+
+
+def test_rational_matmul_rejects_shape_mismatch():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        QQ.matmul(QQ.zeros((2, 3)), QQ.zeros((2, 3)))
 
 
 # ---- factor-once solvers against the loop versions they replaced ---------

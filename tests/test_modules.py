@@ -393,3 +393,53 @@ def test_resolution_is_built_once_and_cut(paper_algebra):
     for d, e in zip(ref_maps, long_maps):
         for c in range(A.nclasses):
             assert np.array_equal(d.mats[c], e.mats[c])
+
+
+# ---- quotient_module against the per-row quotient_coords version ----------
+
+
+def _ref_quotient_module(M, sub_vectors):
+    F = M.field
+    vecs = modules.close_under_action(M, sub_vectors) if len(sub_vectors) \
+        else F.zeros((0, M.total))
+    pieces = modules.graded_pieces_of_span(M, vecs)
+    comps = [linalg.complement(F, pieces[c], F.eye(M.dims[c]))
+             for c in range(M.A.nclasses)]
+    dims = [comp.shape[0] for comp in comps]
+    act = []
+    for b in range(M.A.dim):
+        s, t = int(M.A.src[b]), int(M.A.tgt[b])
+        img = F.matmul(comps[s], M.act[b])
+        m = F.zeros((dims[s], dims[t]))
+        for i in range(dims[s]):
+            m[i] = linalg.quotient_coords(F, pieces[t], comps[t], img[i])
+        act.append(m)
+    pmats = []
+    for c in range(M.A.nclasses):
+        pm = F.zeros((M.dims[c], dims[c]))
+        for i in range(M.dims[c]):
+            pm[i] = linalg.quotient_coords(F, pieces[c], comps[c],
+                                           F.eye(M.dims[c])[i])
+        pmats.append(pm)
+    return dims, act, pmats
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_quotient_module_equals_per_row_reference(field):
+    rng = random.Random(13)
+    for A, battery in _battery_cases(field):
+        for M in battery:
+            subs = [
+                field.zeros((0, M.total)),
+                modules.radical_vectors(M),
+                modules.socle_vectors(M),
+                field.array([[field.rand(rng) for _ in range(M.total)]]),
+                field.eye(M.total),
+            ]
+            for sub in subs:
+                Q, proj = modules.quotient_module(M, sub)
+                dims, act, pmats = _ref_quotient_module(M, sub)
+                assert Q.dims == dims
+                assert all(np.array_equal(x, y) for x, y in zip(Q.act, act))
+                assert all(np.array_equal(x, y)
+                           for x, y in zip(proj.mats, pmats))

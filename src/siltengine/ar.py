@@ -12,17 +12,11 @@ from . import complexes as cx
 from . import linalg
 from . import modules as mod
 from . import silting
-from .silting import PreconditionError
+from .silting import PreconditionError, _entry
 
 
-def _entry(name, status, dims=None, witness=None):
-    out = {"name": name, "status": status, "dims": dims or {}}
-    if witness is not None:
-        out["witness"] = witness
-    return out
-
-
-def _stalk_in_add_p(ctx, i, shift=0):
+def stalk_in_add_p(ctx, i, shift=0):
+    """Is the stalk complex P_i[shift] a summand class of P?"""
     X = cx.stalk_proj_complex(ctx.A, [i])
     if shift:
         X = X.shift(shift)
@@ -48,7 +42,7 @@ def connecting_term_check(ctx, i):
     """
     A = ctx.A
     name = "connecting-term-%d" % (i + 1)
-    if _stalk_in_add_p(ctx, i, shift=1):
+    if stalk_in_add_p(ctx, i, shift=1):
         left = ctx.hom_P_of(mod.injective_module(A, i), 0).module
         ok = left.total == 0
         return _entry(name, "skipped" if ok else "fail",
@@ -58,7 +52,7 @@ def connecting_term_check(ctx, i):
     moved = mod.tau_inverse(left)
     ok = mod.modules_isomorphic(moved, right, ctx.rng) is not None
     inj = _is_injective_over(ctx.B, left, ctx.rng)
-    ok = ok and (inj == _stalk_in_add_p(ctx, i, shift=0))
+    ok = ok and (inj == stalk_in_add_p(ctx, i, shift=0))
     return _entry(
         name, "pass" if ok else "fail",
         {"left": left.total, "right": right.total, "injective": int(inj)},
@@ -72,9 +66,9 @@ def connecting_sequence(ctx, i):
     Returns (left, E, right, f, g, report entry).
     """
     A = ctx.A
-    if _stalk_in_add_p(ctx, i, shift=0):
+    if stalk_in_add_p(ctx, i, shift=0):
         raise PreconditionError("projective class is a summand of P")
-    if _stalk_in_add_p(ctx, i, shift=1):
+    if stalk_in_add_p(ctx, i, shift=1):
         raise PreconditionError("shifted projective class is a summand of P")
     left = ctx.hom_P_of(mod.injective_module(A, i), 0).module
     right = ctx.hom_P_of(mod.projective_module(A, i), 1).module

@@ -510,7 +510,7 @@ def cmd_ar(args):
     for i in range(A.nclasses):
         checks.append(ar.connecting_term_check(ctx, i))
     for i in range(A.nclasses):
-        if ar._stalk_in_add_p(ctx, i, 0) or ar._stalk_in_add_p(ctx, i, 1):
+        if ar.stalk_in_add_p(ctx, i, 0) or ar.stalk_in_add_p(ctx, i, 1):
             continue
         checks.append(ar.connecting_sequence(ctx, i)[5])
     sp = ar.splitting_check(ctx, battery, cert)

@@ -57,16 +57,10 @@ class ModuleComplex:
     def shift(self, n):
         """X[n]^i = X^{i+n} with differential scaled by (-1)^n."""
         F = self.field
-        sign = 1 if n % 2 == 0 else (-1 % F.p if isinstance(F, linalg.GF) else -1)
+        sign = 1 if n % 2 == 0 else neg_one(F)
         terms = {d - n: t for d, t in self.terms.items()}
         dmaps = {d - n: m.scale(sign) for d, m in self.dmaps.items()}
         return ModuleComplex(self.A, terms, dmaps)
-
-    def total_dim(self):
-        return sum(t.total for t in self.terms.values())
-
-    def is_zero(self):
-        return not self.terms
 
     def cohomology(self, i):
         """H^i as a Module (with the inclusion data discarded)."""
@@ -76,15 +70,23 @@ class ModuleComplex:
         if (i - 1) not in self.terms:
             return K
         imv = mod.image_vectors(self.dmap(i - 1))
+        if imv.shape[0] == 0:
+            return K
+        # coordinates in K of the image rows, one factorisation per class
         F = self.field
-        rows = []
-        for r in range(imv.shape[0]):
-            co = _coords_in_inclusion(K, incl, imv[r])
-            rows.append(co)
-        if rows:
-            Q, _ = mod.quotient_module(K, np.stack(rows, axis=0))
-            return Q
-        return K
+        rows = F.zeros((imv.shape[0], K.total))
+        for c in range(self.A.nclasses):
+            piece = X.piece(imv, c)
+            if incl.mats[c].shape[0] == 0:
+                if np.any(piece != 0):
+                    raise ValueError("vector not in the submodule")
+                continue
+            co = linalg.Coords(F, incl.mats[c]).of(piece)
+            if co is None:
+                raise ValueError("vector not in the submodule")
+            K.piece(rows, c)[:] = co
+        Q, _ = mod.quotient_module(K, rows)
+        return Q
 
 
 def zero_module(A):
@@ -93,54 +95,8 @@ def zero_module(A):
     )
 
 
-def _coords_in_inclusion(K, incl, v):
-    """Coordinates in K of an ambient total vector lying in the image."""
-    F = K.field
-    out = F.zeros((K.total,))
-    amb = incl.tgt
-    for c in range(K.A.nclasses):
-        piece = amb.piece(np.asarray(v).reshape(1, -1), c)[0]
-        basis = incl.mats[c]
-        if basis.shape[0] == 0:
-            if np.any(piece != 0):
-                raise ValueError("vector not in the submodule")
-            continue
-        co = linalg.coords_in_basis(F, basis, piece)
-        if co is None:
-            raise ValueError("vector not in the submodule")
-        K.piece(out.reshape(1, -1), c)[0, :] = co
-    return out
-
-
 def stalk_complex(M, degree=0):
     return ModuleComplex(M.A, {degree: M}, {})
-
-
-def sum_complexes(xs):
-    """Direct sum of module complexes.
-
-    Returns (sum, per-degree (module, inclusions, projections) data).
-    """
-    A = xs[0].A
-    degs = sorted({d for x in xs for d in x.terms})
-    terms = {}
-    sums = {}
-    for d in degs:
-        S, incls, projs = mod.direct_sum([x.term(d) for x in xs])
-        terms[d] = S
-        sums[d] = (S, incls, projs)
-    dmaps = {}
-    for d in degs:
-        if (d + 1) not in terms:
-            continue
-        S0, incls0, projs0 = sums[d]
-        S1, incls1, projs1 = sums[d + 1]
-        m = mod.zero_map(S0, S1)
-        for k, x in enumerate(xs):
-            m = m.add(projs0[k].compose(x.dmap(d)).compose(incls1[k]))
-        dmaps[d] = m
-    total = ModuleComplex(A, terms, dmaps)
-    return total, sums
 
 
 class ChainMap:
@@ -238,6 +194,8 @@ class HomSpace:
             self.htpy = z
             self.class_basis = z
             self.dim = 0
+            self.htpy_gens = []
+            self.htpy_images = z
             return
         # chain maps: per-degree module maps with the commuting condition
         per_deg = []
@@ -262,7 +220,7 @@ class HomSpace:
             for i in set(X.terms) | set(Y.terms):
                 lhs = f.map_at(i).compose(Y.dmap(i))
                 rhs = X.dmap(i).compose(f.map_at(i + 1))
-                diff = lhs.add(rhs.scale(_neg_one(F)))
+                diff = lhs.add(rhs.scale(neg_one(F)))
                 viol.append(diff.flat())
             cond_rows.append(np.concatenate(viol) if viol else F.zeros((0,)))
         if cond_rows and cond_rows[0].shape[0] > 0:
@@ -273,7 +231,9 @@ class HomSpace:
             chain = linalg.row_space(F, cand)
         self.chain_basis = chain
         # homotopies: image of s -> s d_Y + d_X s, with s^d : X^d -> Y^{d-1}
-        # ranging over all degrees where both sides are nonzero
+        # ranging over all degrees where both sides are nonzero; the
+        # generators (d, s) and their images are kept for find_homotopy
+        self.htpy_gens = []
         h_rows = []
         for d in sorted(set(X.terms)):
             if (d - 1) not in Y.terms:
@@ -286,11 +246,12 @@ class HomSpace:
                 out[d - 1] = X.dmap(d - 1).compose(s)
                 h = ChainMap(X, Y, out)
                 h_rows.append(self.flat_of(h))
-        htpy = (
-            linalg.row_space(F, np.stack(h_rows, axis=0))
-            if h_rows
-            else F.zeros((0, nflat))
-        )
+                self.htpy_gens.append((d, s))
+        if h_rows:
+            self.htpy_images = np.stack(h_rows, axis=0)
+            htpy = linalg.row_space(F, self.htpy_images)
+        else:
+            self.htpy_images = htpy = F.zeros((0, nflat))
         # homotopies that are chain maps (they all are, see below)
         self.htpy = linalg.intersect_spaces(F, htpy, chain) if htpy.shape[0] \
             else htpy
@@ -340,31 +301,14 @@ def find_homotopy(hs, f):
     Returns {degree: ModuleMap X^d -> Y^{d-1}} with
     f = s . d_Y + d_X . s, or None if f is not null-homotopic.
     """
-    X, Y = hs.X, hs.Y
-    F = hs.field
-    gens = []
-    rows = []
-    for d in sorted(set(X.terms)):
-        if (d - 1) not in Y.terms:
-            continue
-        smaps, sflat = mod.hom_space(X.term(d), Y.term(d - 1))
-        for r in range(sflat.shape[0]):
-            s = mod.map_from_flat(X.term(d), Y.term(d - 1), sflat[r])
-            out = {
-                d: s.compose(Y.dmap(d - 1)),
-                d - 1: X.dmap(d - 1).compose(s),
-            }
-            rows.append(hs.flat_of(ChainMap(X, Y, out)))
-            gens.append((d, s))
     target = hs.flat_of(f)
-    if not rows:
+    if not hs.htpy_gens:
         return {} if np.all(target == 0) else None
-    basis = np.stack(rows, axis=0)
-    co = linalg.coords_in_basis(F, basis, target)
+    co = linalg.coords_in_basis(hs.field, hs.htpy_images, target)
     if co is None:
         return None
     out = {}
-    for c, (d, s) in zip(co, gens):
+    for c, (d, s) in zip(co, hs.htpy_gens):
         if c == 0:
             continue
         piece = s.scale(c)
@@ -372,58 +316,7 @@ def find_homotopy(hs, f):
     return out
 
 
-def homotopy_equivalence(X, Y, rng=None, trials=60):
-    """Mutually inverse homotopy equivalences (i: X -> Y, r: Y -> X).
-
-    Returns None when no equivalence is found.  Both composites are
-    verified to be homotopic to the respective identities.
-    """
-    rng = rng or random.Random(0)
-    F = X.field
-    fwd = HomSpace(X, Y)
-    bwd = HomSpace(Y, X)
-    endX = HomSpace(X, X)
-    endY = HomSpace(Y, Y)
-    if fwd.dim == 0 or bwd.dim == 0:
-        if X.is_zero() and Y.is_zero():
-            zero = ChainMap(X, Y, {})
-            return zero, ChainMap(Y, X, {})
-        return None
-    idX = endX.flat_of(identity_chain_map(X))
-    neg = _neg_one(F)
-    candidates = [fwd.class_basis[i] for i in range(fwd.dim)]
-    for _ in range(trials):
-        v = F.zeros((fwd.nflat,))
-        for i in range(fwd.dim):
-            v = F.reduce(v + F.rand(rng) * fwd.class_basis[i])
-        candidates.append(v)
-    for v in candidates:
-        i_map = fwd.map_from_flat(v)
-        rows = []
-        for r in range(bwd.dim):
-            rmap = bwd.map_from_flat(bwd.class_basis[r])
-            rows.append(endX.flat_of(i_map.compose(rmap)))
-        basis = np.concatenate(
-            [np.stack(rows, axis=0)]
-            + ([endX.htpy] if endX.htpy.shape[0] else []),
-            axis=0,
-        )
-        co = linalg.coords_in_basis(F, basis, idX)
-        if co is None:
-            continue
-        r_map = None
-        for c, ri in zip(co[: bwd.dim], range(bwd.dim)):
-            piece = bwd.map_from_flat(bwd.class_basis[ri]).scale(c)
-            r_map = piece if r_map is None else r_map.add(piece)
-        if r_map is None:
-            continue
-        other = r_map.compose(i_map).add(identity_chain_map(Y).scale(neg))
-        if endY.is_nullhomotopic(other):
-            return i_map, r_map
-    return None
-
-
-def _neg_one(F):
+def neg_one(F):
     return -1 % F.p if isinstance(F, linalg.GF) else -1
 
 
@@ -445,7 +338,7 @@ def mapping_cone(f):
         terms[d] = S
         sums[d] = (S, incls, projs)
     dmaps = {}
-    neg = _neg_one(F)
+    neg = neg_one(F)
     for d in degs:
         if (d + 1) not in terms:
             continue
@@ -533,7 +426,7 @@ class ProjComplex:
             dmaps = {}
             for d in self.diffs:
                 dmaps[d] = psums[d].map_from_entries(
-                    psums[d + 1], _entries_as_lists(self.diff(d))
+                    psums[d + 1], self.diff(d)
                 )
             mc = ModuleComplex(self.A, terms, dmaps)
             self._module_form = (mc, psums)
@@ -541,7 +434,7 @@ class ProjComplex:
 
     def shift(self, n):
         F = self.field
-        sign = 1 if n % 2 == 0 else _neg_one(F)
+        sign = 1 if n % 2 == 0 else neg_one(F)
         terms = {d - n: list(c) for d, c in self.terms.items()}
         diffs = {d - n: F.reduce(sign * e) for d, e in self.diffs.items()}
         return ProjComplex(self.A, terms, diffs)
@@ -575,10 +468,6 @@ def entry_compose(A, a, b):
                 acc = F.reduce(acc + A.el_mult(b[k, l], a[j, k]))
             out[j, l] = acc
     return out
-
-
-def _entries_as_lists(e):
-    return [[e[j, k] for k in range(e.shape[1])] for j in range(e.shape[0])]
 
 
 def proj_complex_direct_sum(xs):
@@ -788,53 +677,56 @@ def decompose_complex(X, rng=None):
         grp = []
         for el in g:
             emap = chain_map_from_element(basis_maps, el)
-            grp.append(_standardize_summand(Xm, mc, emap))
+            grp.append(_standardize_summand(mc, emap))
         out.append(grp)
     return out
 
 
-def _standardize_summand(Xm, mc, emap):
+def _standardize_summand(mc, emap):
     """Image of an idempotent chain endo, re-expressed by summand classes."""
-    A = Xm.A
-    F = A.field
-    sub_terms = {}
+    terms = {}
     incls = {}
     for d in mc.terms:
         imv = mod.image_vectors(emap.map_at(d))
-        S, incl = mod.submodule(mc.term(d), imv, closed=True)
-        sub_terms[d] = S
-        incls[d] = incl
-    # differentials of the image complex
+        terms[d], incls[d] = mod.submodule(mc.term(d), imv, closed=True)
+    # the differential of the image complex, retracted through the inclusion
+    dmaps = {
+        d: retract_through_inclusion(
+            incls[d + 1], incls[d].compose(mc.dmap(d))
+        )
+        for d in terms
+        if (d + 1) in terms
+    }
+    image = ModuleComplex(mc.A, terms, dmaps)
+    return proj_complex_from_module_complex(image)[0]
+
+
+def proj_complex_from_module_complex(Xmc):
+    """(ProjComplex, covers) for a complex of projective modules."""
+    A = Xmc.A
     psums = {}
     covers = {}
-    for d, S in sub_terms.items():
-        ps, cover = mod.projective_cover(S)
+    for d, M in Xmc.terms.items():
+        ps, cover = mod.projective_cover(M)
         if not cover.is_isomorphism():
-            raise RuntimeError("image of idempotent is not projective")
+            raise RuntimeError("complex term is not projective")
         psums[d] = ps
         covers[d] = cover
-    terms = {d: psums[d].classes for d in psums}
     diffs = {}
-    for d in sub_terms:
-        if (d + 1) not in sub_terms:
-            continue
-        # Q_d -> S_d -> X_d -> X_{d+1} -> retract to S_{d+1} -> Q_{d+1}
-        dmod = (
+    for d in Xmc.dmaps:
+        dm = (
             covers[d]
-            .compose(incls[d])
-            .compose(mc.dmap(d))
+            .compose(Xmc.dmaps[d])
+            .compose(map_inverse(covers[d + 1]))
         )
-        # express through S_{d+1}: solve against the inclusion
-        F_ = F
-        back = _retract_through_inclusion(incls[d + 1], dmod)
-        full = back.compose(_map_inverse(covers[d + 1]))
-        diffs[d] = np.array(
-            _entries_array(A, psums[d].entry_matrix_to(psums[d + 1], full))
-        )
-    return ProjComplex(A, terms, diffs)
+        diffs[d] = psums[d].entry_matrix_to(psums[d + 1], dm)
+    out = ProjComplex(A, {d: ps.classes for d, ps in psums.items()}, diffs)
+    if not out.check():
+        raise RuntimeError("projective presentation fails d^2 = 0")
+    return out, covers
 
 
-def _retract_through_inclusion(incl, f):
+def retract_through_inclusion(incl, f):
     """g with g . incl = f, given im f inside im incl."""
     F = incl.field
     mats = []
@@ -848,7 +740,7 @@ def _retract_through_inclusion(incl, f):
     return mod.ModuleMap(f.src, incl.src, mats)
 
 
-def _map_inverse(f):
+def map_inverse(f):
     F = f.field
     mats = []
     for c in range(f.src.A.nclasses):
@@ -857,17 +749,6 @@ def _map_inverse(f):
             raise RuntimeError("map is not invertible")
         mats.append(inv)
     return mod.ModuleMap(f.tgt, f.src, mats)
-
-
-def _entries_array(A, entries):
-    F = A.field
-    ns = len(entries)
-    nt = len(entries[0]) if ns else 0
-    out = F.zeros((ns, nt, A.dim))
-    for j in range(ns):
-        for k in range(nt):
-            out[j, k] = entries[j][k]
-    return out
 
 
 def complexes_isomorphic(X, Y, rng=None, trials=40):
@@ -939,7 +820,7 @@ def _nu_of_entry(A, Aop, a, cj, ck):
     # in the opposite algebra, a in e_{ck} A e_{cj} = e_{cj}^op A^op e_{ck}^op
     ps_j = mod.ProjSum(Aop, [cj])
     ps_k = mod.ProjSum(Aop, [ck])
-    f_op = ps_k.map_from_entries(ps_j, [[a]])
+    f_op = ps_k.map_from_entries(ps_j, np.reshape(a, (1, 1, -1)))
     # dual over A: transpose blocks and swap direction
     Ij = mod.dual_module(ps_j.module, A)
     Ik = mod.dual_module(ps_k.module, A)

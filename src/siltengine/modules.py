@@ -614,27 +614,23 @@ class ProjSum:
     def entry_matrix_to(self, other, f):
         """Express f: self.module -> other.module by algebra elements.
 
-        Returns entries[j][k] in e_{other.classes[k]} A e_{self.classes[j]}
-        with f(gen_j) = sum_k gen_k * entries[j][k].
+        Returns the array entries[j, k] in e_{other.classes[k]} A
+        e_{self.classes[j]} with f(gen_j) = sum_k gen_k * entries[j, k].
         """
         A = self.A
-        F = A.field
-        entries = []
+        entries = A.field.zeros((len(self.classes), len(other.classes), A.dim))
         for j, dj in enumerate(self.classes):
             y = f.apply(self.gens[j])
             piece = other.module.piece(y.reshape(1, -1), dj)[0]
-            row = []
             for k in range(len(other.classes)):
-                el = F.zeros((A.dim,))
                 st = other.starts[k][dj]
                 for i, b in enumerate(other.summands[k].basis_members[dj]):
-                    el[b] = piece[st + i]
-                row.append(el)
-            entries.append(row)
+                    entries[j, k, b] = piece[st + i]
         return entries
 
     def map_from_entries(self, other, entries):
-        """ModuleMap self.module -> other.module, gen_j -> sum gen_k*a_jk."""
+        """ModuleMap self.module -> other.module, gen_j -> sum gen_k*a_jk,
+        for an entries array a of shape (len self, len other, dim A)."""
         F = self.A.field
         gen_images = []
         for j in range(len(self.classes)):
@@ -713,11 +709,7 @@ def transpose_module(M):
     Q0 = ProjSum(Aop, P0.classes)
     Q1 = ProjSum(Aop, P1.classes)
     # Hom(-, A) transposes the entry matrix; elements keep their coordinates
-    ent_t = [
-        [entries[j][k] for j in range(len(P1.classes))]
-        for k in range(len(P0.classes))
-    ]
-    dt = Q0.map_from_entries(Q1, ent_t)
+    dt = Q0.map_from_entries(Q1, entries.transpose(1, 0, 2))
     coker, proj = quotient_module(Q1.module, image_vectors(dt))
     return coker
 

@@ -150,46 +150,33 @@ class TorsionPair:
         return tX, incl, Q, proj
 
 
-# ---- endomorphism algebra of P --------------------------------------------
+# ---- endomorphism algebra of P and minimal approximations ----------------
 
 
-class SiltingContext:
-    """Everything derived from one basic 2-term silting complex."""
+class EndP:
+    """B = End(P) in the homotopy category, for the module forms mq of the
+    indecomposable summands of a basic complex P.
 
-    def __init__(self, P, rng=None):
-        self.rng = rng or random.Random(0)
-        self.A = P.A
-        self.field = P.A.field
-        ok, wit = is_silting(P, self.rng)
-        if not ok:
-            raise PreconditionError("complex is not silting")
-        self.tilting = is_tilting(P, self.rng)[0]
-        self.P, self.summands = basic_part(P, self.rng)
-        self.mcP, _ = self.P.module_form()
-        self.mq = [s.module_form()[0] for s in self.summands]
-        self.n = len(self.summands)
-        self._build_endo()
-        self._build_delta()
-        self._build_q()
-        self._build_phi()
-        self.torsion_A = TorsionPair(self.P)
-        self.torsion_B = TorsionPair(self.Q)
+    Basis element k of B is the class of the chain map reps[k] from
+    mq[B.tgt[k]] to mq[B.src[k]]; the identity comes first in each
+    diagonal corner.
+    """
 
-    # -- B = End(P) --------------------------------------------------------
-
-    def _build_endo(self):
-        F = self.field
-        n = self.n
+    def __init__(self, mq):
+        F = mq[0].field
+        self.mq = mq
+        self.n = n = len(mq)
+        self.field = F
         corners = {}
         corner_rows = {}
         corner_index = {}
         labels, src, tgt, reps, idem = [], [], [], [], []
         for i in range(n):
             for j in range(n):
-                hs = cx.HomSpace(self.mq[j], self.mq[i])
+                hs = cx.HomSpace(mq[j], mq[i])
                 corners[(i, j)] = hs
                 if i == j:
-                    ident = cx.identity_chain_map(self.mq[i])
+                    ident = cx.identity_chain_map(mq[i])
                     idf = hs.flat_of(ident).reshape(1, -1)
                     others = linalg.complement(
                         F, linalg.sum_spaces(F, hs.htpy, idf), hs.chain_basis
@@ -237,11 +224,11 @@ class SiltingContext:
             raise RuntimeError("endomorphism algebra axioms failed")
         self.B = B
         self.reps = reps
-        self._corners = corners
         self._corner_index = corner_index
 
     def corner_rep(self, vec, i, j):
-        """Chain map Q_j -> Q_i for the (i, j)-corner part of a B-vector."""
+        """Chain map mq[j] -> mq[i] for the (i, j)-corner part of a
+        B-vector, or None when that part is zero."""
         out = None
         for k in self._corner_index[(i, j)]:
             if vec[k] == 0:
@@ -250,52 +237,93 @@ class SiltingContext:
             out = piece if out is None else out.add(piece)
         return out
 
+
+def minimal_approximation(endp, X, side):
+    """Generators of a minimal add(P)-approximation of the complex X.
+
+    side "left": for each summand i, a basis of Hom(X, P_i) modulo the
+    maps X -> P_j -> P_i through rad End(P); side "right": of Hom(P_i, X)
+    modulo P_i -> P_j -> X.  Returns [(i, chain map)], one pair per copy
+    of P_i in the approximating object, in summand order.
+    """
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    F = endp.field
+    left = side == "left"
+    V = [cx.HomSpace(X, q) if left else cx.HomSpace(q, X) for q in endp.mq]
+    radB = endp.B.radical()
+    gens = []
+    for i in range(endp.n):
+        if V[i].dim == 0:
+            continue
+        rows = []
+        for r in range(radB.shape[0]):
+            for j in range(endp.n):
+                if left:
+                    rep = endp.corner_rep(radB[r], i, j)
+                else:
+                    rep = endp.corner_rep(radB[r], j, i)
+                if rep is None:
+                    continue
+                for t in range(V[j].dim):
+                    phi = V[j].class_map(t)
+                    comp = phi.compose(rep) if left else rep.compose(phi)
+                    rows.append(V[i].coords(comp))
+        radimg = (
+            linalg.row_space(F, np.stack(rows, axis=0))
+            if rows
+            else F.zeros((0, V[i].dim))
+        )
+        for row in linalg.complement(F, radimg, F.eye(V[i].dim)):
+            m = None
+            for t in np.flatnonzero(row != 0):
+                piece = V[i].class_map(int(t)).scale(row[int(t)])
+                m = piece if m is None else m.add(piece)
+            gens.append((i, m))
+    return gens
+
+
+class SiltingContext:
+    """Everything derived from one basic 2-term silting complex."""
+
+    def __init__(self, P, rng=None):
+        self.rng = rng or random.Random(0)
+        self.A = P.A
+        self.field = P.A.field
+        ok, wit = is_silting(P, self.rng)
+        if not ok:
+            raise PreconditionError("complex is not silting")
+        self.tilting = is_tilting(P, self.rng)[0]
+        self.P, self.summands = basic_part(P, self.rng)
+        self.mcP, _ = self.P.module_form()
+        self.mq = [s.module_form()[0] for s in self.summands]
+        self.n = len(self.summands)
+        self.endo = EndP(self.mq)
+        self.B, self.reps = self.endo.B, self.endo.reps
+        self._build_delta()
+        self._build_q()
+        self._build_phi()
+        self.torsion_A = TorsionPair(self.P)
+        self.torsion_B = TorsionPair(self.Q)
+
     # -- triangle A -> P' -> P'' -> A[1] ------------------------------------
 
     def _build_delta(self):
         A = self.A
         F = self.field
-        n = self.n
         self.stalkA = cx.stalk_proj_complex(A, list(range(A.nclasses)))
         self.mcA, psA = self.stalkA.module_form()
         self.psA0 = psA[0]
         self._index_regular()
-        radB = self.B.radical()
         sts = [
             cx.stalk_proj_complex(A, [c]).module_form()[0]
             for c in range(A.nclasses)
         ]
-        V = [
-            [cx.HomSpace(sts[c], self.mq[i]) for i in range(n)]
+        gens = [
+            (c, i, m)
             for c in range(A.nclasses)
+            for i, m in minimal_approximation(self.endo, sts[c], "left")
         ]
-        gens = []
-        for c in range(A.nclasses):
-            for i in range(n):
-                vi = V[c][i].dim
-                if vi == 0:
-                    continue
-                rows = []
-                for r in range(radB.shape[0]):
-                    for j in range(n):
-                        rep = self.corner_rep(radB[r], i, j)
-                        if rep is None:
-                            continue
-                        for t in range(V[c][j].dim):
-                            phi = V[c][j].class_map(t)
-                            rows.append(V[c][i].coords(phi.compose(rep)))
-                radimg = (
-                    linalg.row_space(F, np.stack(rows, axis=0))
-                    if rows
-                    else F.zeros((0, vi))
-                )
-                for row in linalg.complement(F, radimg, F.eye(vi)):
-                    m = None
-                    for t in np.flatnonzero(row != 0):
-                        piece = V[c][i].class_map(int(t)).scale(row[int(t)])
-                        m = piece if m is None else m.add(piece)
-                    gens.append((c, i, m))
-        self.approx_gens = gens
         parts = [self.summands[i] for (_, i, _) in gens]
         if parts:
             self.Pp = cx.proj_complex_direct_sum(parts)
@@ -328,17 +356,16 @@ class SiltingContext:
             entries = F.zeros((len(p1) + len(acl), len(p0), A.dim))
             if p1:
                 entries[: len(p1)] = F.reduce(-self.Pp.diff(-1))
-            e_entries = self.psA0.entry_matrix_to(psPp[0], self.e.map_at(0))
-            for j in range(len(acl)):
-                for k in range(len(p0)):
-                    entries[len(p1) + j, k] = e_entries[j][k]
+            entries[len(p1) :] = self.psA0.entry_matrix_to(
+                psPp[0], self.e.map_at(0)
+            )
             cone_diffs[-1] = entries
         self.cone = cx.ProjComplex(A, cone_terms, cone_diffs)
         if not self.cone.check():
             raise RuntimeError("triangle cone fails d^2 = 0")
         self.mcC, self.psC = self.cone.module_form()
         self.p1_count = len(p1)
-        neg = cx._neg_one(F)
+        neg = cx.neg_one(F)
         fmaps = {}
         if p1:
             m = mod.zero_map(self.mcPp.term(-1), self.mcC.term(-1))
@@ -489,7 +516,9 @@ class SiltingContext:
         self.Q_mod = cx.ModuleComplex(self.B, terms, dmaps)
         if not self.Q_mod.check():
             raise RuntimeError("induced complex fails d^2 = 0")
-        self.Q, self.q_covers = proj_complex_from_module_complex(self.Q_mod)
+        self.Q, self.q_covers = cx.proj_complex_from_module_complex(
+            self.Q_mod
+        )
         ok, _ = is_silting(self.Q, self.rng)
         if not ok:
             raise RuntimeError("induced complex over B is not silting")
@@ -531,7 +560,7 @@ class SiltingContext:
 
     def _phi_of(self, avec, hsAP, hsEnd, erows):
         F = self.field
-        neg = cx._neg_one(F)
+        neg = cx.neg_one(F)
         lam = self.left_mult_map(avec)
         chain_a = cx.ChainMap(self.mcA, self.mcA, {0: lam})
         target = chain_a.compose(self.e)
@@ -615,15 +644,6 @@ class SiltingContext:
         return self.field.reduce(
             np.einsum("i,ij->j", avec, self.phi_matrix)
         )
-
-    def phi_chain_of(self, avec):
-        out = None
-        for i in np.flatnonzero(np.asarray(avec) != 0):
-            piece = self.phi_chain[int(i)].scale(avec[int(i)])
-            out = piece if out is None else out.add(piece)
-        if out is None:
-            return cx.identity_chain_map(self.Q_mod).scale(0)
-        return out
 
     def q_hom(self, N, shift=0):
         """Hom(Q, N[shift]) as an A-module through the induced map."""
@@ -792,33 +812,6 @@ def _copy_inclusions(parts, total):
     return incls
 
 
-def proj_complex_from_module_complex(Xmc):
-    """(ProjComplex, covers) for a complex of projective modules."""
-    A = Xmc.A
-    psums = {}
-    covers = {}
-    for d, M in Xmc.terms.items():
-        ps, cover = mod.projective_cover(M)
-        if not cover.is_isomorphism():
-            raise RuntimeError("complex term is not projective")
-        psums[d] = ps
-        covers[d] = cover
-    diffs = {}
-    for d in Xmc.dmaps:
-        dm = (
-            covers[d]
-            .compose(Xmc.dmaps[d])
-            .compose(cx._map_inverse(covers[d + 1]))
-        )
-        diffs[d] = cx._entries_array(
-            A, psums[d].entry_matrix_to(psums[d + 1], dm)
-        )
-    out = cx.ProjComplex(A, {d: ps.classes for d, ps in psums.items()}, diffs)
-    if not out.check():
-        raise RuntimeError("projective presentation fails d^2 = 0")
-    return out, covers
-
-
 # ---- Bongartz completion --------------------------------------------------
 
 
@@ -829,49 +822,19 @@ def bongartz_complete(P, rng=None):
     if not ok:
         raise PreconditionError("complex is not presilting")
     A = P.A
-    F = A.field
     Pb, summands = basic_part(P, rng)
     if not summands:
         raise PreconditionError("zero complex cannot be completed")
     mq = [s.module_form()[0] for s in summands]
-    n = len(summands)
     # right add(P)-approximation of A[1], from minimal generators of
     # Hom(P_i, A[1]) over the endomorphism algebra of P
     stalkA = cx.stalk_proj_complex(A, list(range(A.nclasses)))
-    mcA, psA = stalkA.module_form()
-    mcA1 = mcA.shift(1)
-    tmp = _EndOnly(Pb, summands, mq, rng)
-    radB = tmp.B.radical()
-    V = [cx.HomSpace(mq[i], mcA1) for i in range(n)]
-    gens = []
-    for i in range(n):
-        if V[i].dim == 0:
-            continue
-        rows = []
-        for r in range(radB.shape[0]):
-            for j in range(n):
-                rep = tmp.corner_rep(radB[r], j, i)
-                if rep is None:
-                    continue
-                for t in range(V[j].dim):
-                    rows.append(V[i].coords(rep.compose(V[j].class_map(t))))
-        radimg = (
-            linalg.row_space(F, np.stack(rows, axis=0))
-            if rows
-            else F.zeros((0, V[i].dim))
-        )
-        for row in linalg.complement(F, radimg, F.eye(V[i].dim)):
-            m = None
-            for t in np.flatnonzero(row != 0):
-                piece = V[i].class_map(int(t)).scale(row[int(t)])
-                m = piece if m is None else m.add(piece)
-            gens.append((i, m))
+    mcA, _ = stalkA.module_form()
+    gens = minimal_approximation(EndP(mq), mcA.shift(1), "right")
     parts = [summands[i] for (i, _) in gens]
     if parts:
         Ppp = cx.proj_complex_direct_sum(parts)
-        mcPpp, _ = Ppp.module_form()
         incls = _copy_inclusions(parts, Ppp)
-        mcS = mcPpp
         g0 = None
         for k, (i, gmap) in enumerate(gens):
             # reverse the inclusion: project the sum onto copy k, then map
@@ -884,7 +847,7 @@ def bongartz_complete(P, rng=None):
         Cmc, _, _ = cx.mapping_cone(
             cx.ChainMap(cx.ModuleComplex(A, {}, {}), mcA, {})
         )
-    E_pc, _ = proj_complex_from_module_complex(Cmc)
+    E_pc, _ = cx.proj_complex_from_module_complex(Cmc)
     total = cx.proj_complex_direct_sum([Pb, E_pc])
     out, out_summands = basic_part(total, rng)
     ok, _ = is_silting(out, rng)
@@ -905,21 +868,6 @@ def _copy_projection(incl):
         mats = [np.array(mm.T, copy=True) for mm in m.mats]
         maps[d] = mod.ModuleMap(incl.tgt.term(d), incl.src.term(d), mats)
     return cx.ChainMap(incl.tgt, incl.src, maps)
-
-
-class _EndOnly:
-    """Endomorphism-algebra bookkeeping shared with SiltingContext."""
-
-    def __init__(self, Pb, summands, mq, rng):
-        self.P = Pb
-        self.summands = summands
-        self.mq = mq
-        self.n = len(summands)
-        self.field = Pb.A.field
-        self.rng = rng
-        SiltingContext._build_endo(self)
-
-    corner_rep = SiltingContext.corner_rep
 
 
 # ---- module battery -------------------------------------------------------
@@ -1063,7 +1011,7 @@ def torsion_resolution(ctx, X, variant):
     if variant == "tcogen":
         I0, emb = injective_envelope(X, rng)
         T0, incl = tp.torsion_part(I0)
-        emb2 = cx._retract_through_inclusion(incl, emb)
+        emb2 = cx.retract_through_inclusion(incl, emb)
         L, proj = mod.quotient_module(T0, mod.image_vectors(emb2))
         nuA, _, _ = mod.direct_sum(
             [mod.injective_module(A, c) for c in range(A.nclasses)]

@@ -1,10 +1,16 @@
+import functools
+import os
+import random
+
 import numpy as np
 import pytest
 
+from siltengine import cli, silting
 from siltengine import complexes as cx
 from siltengine import linalg, modules
 
 F = linalg.GF(32003)
+FIXDIR = os.path.join(os.path.dirname(cli.__file__), "fixtures")
 
 
 def a2_two_term(A):
@@ -176,3 +182,116 @@ def test_chain_end_algebra_identity_first(a2_algebra):
     E, basis_maps, hs = cx.chain_end_algebra(mc)
     assert E.check_associative()
     assert basis_maps[0].is_chain_iso()
+
+
+# ---- cohomology against the per-row reference --------------------------------
+
+
+def _ref_cohomology(X, i):
+    """The earlier ModuleComplex.cohomology: one coords_in_basis per image
+    row and class."""
+    K, incl = modules.submodule(
+        X.term(i), modules.kernel_vectors(X.dmap(i)), closed=True
+    )
+    if (i - 1) not in X.terms:
+        return K
+    imv = modules.image_vectors(X.dmap(i - 1))
+    if imv.shape[0] == 0:
+        return K
+    Fx = X.field
+    rows = []
+    for v in imv:
+        out = Fx.zeros((K.total,))
+        for c in range(X.A.nclasses):
+            piece = X.term(i).piece(v.reshape(1, -1), c)[0]
+            basis = incl.mats[c]
+            if basis.shape[0] == 0:
+                assert not np.any(piece != 0)
+                continue
+            co = linalg.coords_in_basis(Fx, basis, piece)
+            assert co is not None
+            K.piece(out.reshape(1, -1), c)[0, :] = co
+        rows.append(out)
+    return modules.quotient_module(K, np.stack(rows, axis=0))[0]
+
+
+@pytest.mark.parametrize("field", ["32003", "Q"])
+@pytest.mark.parametrize("base", ["a2_tilt", "a3_silt", "paper_nakayama2"])
+def test_cohomology_equals_per_row_reference(base, field):
+    with open(os.path.join(FIXDIR, base + ".alg"), encoding="utf-8") as fh:
+        A = cli.parse_algebra(fh.read(), cli.parse_field(field))
+    with open(os.path.join(FIXDIR, base + ".cpx"), encoding="utf-8") as fh:
+        _, P = cli.parse_complex(fh.read(), A)
+    mc, _ = P.module_form()
+    cone, _, _ = cx.mapping_cone(cx.identity_chain_map(mc))
+    for X in (mc, cx.nu_complex(P), cone):
+        for i in range(min(X.terms) - 1, max(X.terms) + 2):
+            got, want = X.cohomology(i), _ref_cohomology(X, i)
+            assert got.dims == want.dims
+            for a, b in zip(got.act, want.act):
+                assert np.array_equal(a, b)
+
+
+# ---- explicit null-homotopies ----------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _fixture_context(base):
+    with open(os.path.join(FIXDIR, base + ".alg"), encoding="utf-8") as fh:
+        A = cli.parse_algebra(fh.read())
+    with open(os.path.join(FIXDIR, base + ".cpx"), encoding="utf-8") as fh:
+        _, P = cli.parse_complex(fh.read(), A)
+    return silting.SiltingContext(P)
+
+
+def _random_homotopy(hs, rng):
+    """{d: s^d : X^d -> Y^{d-1}}, a seeded random combination of a Hom basis."""
+    X, Y = hs.X, hs.Y
+    s = {}
+    for d in X.terms:
+        if (d - 1) not in Y.terms:
+            continue
+        maps, _ = modules.hom_space(X.term(d), Y.term(d - 1))
+        sd = modules.zero_map(X.term(d), Y.term(d - 1))
+        for m in maps:
+            sd = sd.add(m.scale(hs.field.rand(rng)))
+        s[d] = sd
+    return s
+
+
+def _boundary(hs, s):
+    """The chain map s . d_Y + d_X . s : X -> Y."""
+    X, Y = hs.X, hs.Y
+    maps = {}
+    for d, sd in s.items():
+        for k, m in (
+            (d, sd.compose(Y.dmap(d - 1))),
+            (d - 1, X.dmap(d - 1).compose(sd)),
+        ):
+            maps[k] = m if k not in maps else maps[k].add(m)
+    return cx.ChainMap(X, Y, maps)
+
+
+@pytest.mark.parametrize("base", ["a2_tilt", "a3_silt", "paper_nakayama2"])
+def test_find_homotopy_witness(base):
+    ctx = _fixture_context(base)
+    rng = random.Random(0)
+    spaces = [cx.HomSpace(ctx.mcA, ctx.mcPp)] + [
+        cx.HomSpace(ctx.mq[i], ctx.mq[j])
+        for i in range(ctx.n)
+        for j in range(ctx.n)
+    ]
+    nonzero = 0
+    for hs in spaces:
+        for _ in range(3):
+            f = _boundary(hs, _random_homotopy(hs, rng))
+            assert f.check()
+            want = hs.flat_of(f)
+            nonzero += int(np.any(want != 0))
+            s = cx.find_homotopy(hs, f)
+            assert s is not None
+            assert np.array_equal(hs.flat_of(_boundary(hs, s)), want)
+        for k in range(hs.dim):
+            assert cx.find_homotopy(hs, hs.class_map(k)) is None
+    # random boundaries are nonzero wherever homotopies are (a2_tilt has none)
+    assert (nonzero > 0) == any(hs.htpy.shape[0] for hs in spaces)

@@ -379,19 +379,16 @@ def _load(args):
 
 def _context(P):
     """SiltingContext with a descriptive witness on failure."""
-    ok, wit = silting.is_silting(P)
+    ok, wit = silting.is_presilting(P)
     if not ok:
-        if wit is not None:
-            raise silting.PreconditionError(
-                "complex is not presilting: nonzero degree-1 self-map "
-                "witness of total rank %d"
-                % sum(int(np.count_nonzero(m.mats[c]))
-                      for m in wit.maps.values()
-                      for c in range(len(m.mats)))
-            )
         raise silting.PreconditionError(
-            "complex is presilting but has too few summand classes"
+            "complex is not presilting: nonzero degree-1 self-map "
+            "witness of total rank %d"
+            % sum(int(np.count_nonzero(m.mats[c]))
+                  for m in wit.maps.values()
+                  for c in range(len(m.mats)))
         )
+    # raises "complex is presilting but has too few summand classes"
     return silting.SiltingContext(P)
 
 
@@ -432,10 +429,12 @@ def cmd_check(args):
     checks = []
     pre, wit = silting.is_presilting(P)
     checks.append(_verdict("presilting", pre, _witness_text(wit)))
-    sil, wit = silting.is_silting(P)
-    checks.append(_verdict("silting", sil, _witness_text(wit) if pre
-                           else "not presilting"))
+    # is_tilting decomposes P once.  A silting P that is not tilting has a
+    # witness in Hom(P, P[-1]); a presilting P with too few classes has none.
     til, wit = silting.is_tilting(P)
+    sil = til or (pre and wit is not None)
+    checks.append(_verdict("silting", sil, None if pre
+                           else "not presilting"))
     checks.append(_verdict("tilting", til, _witness_text(wit) if sil
                            else "not silting"))
     report = rep.make_report(

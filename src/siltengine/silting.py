@@ -8,6 +8,7 @@ phi: A -> End(Q), both induced torsion pairs, and the battery-level
 verification of the comparison theorem relating mod A and mod B.
 """
 
+import functools
 import random
 
 import numpy as np
@@ -139,6 +140,30 @@ class TorsionPair:
     def torsion_part(self, X):
         """(tX, inclusion) for the canonical torsion submodule."""
         return mod.submodule(X, self.trace_vectors(X), closed=True)
+
+    @functools.cached_property
+    def tnuA(self):
+        """t(nu A), the torsion part of the injective cogenerator."""
+        nuA, _, _ = mod.direct_sum(
+            [mod.injective_module(self.A, c) for c in range(self.A.nclasses)]
+        )
+        return self.torsion_part(nuA)[0]
+
+    @functools.cached_property
+    def AtA(self):
+        """A/tA, the torsion-free quotient of the regular module."""
+        reg = mod.regular_module(self.A)
+        return mod.quotient_module(reg, self.trace_vectors(reg))[0]
+
+    def summands_of(self, G, rng):
+        """One indecomposable summand of G per isomorphism class,
+        decomposed once per module."""
+        key = ("s", id(G))
+        if key not in self._cache:
+            self._cache[key] = (
+                G, [grp[0][0] for grp in mod.decompose_module(G, rng)]
+            )
+        return self._cache[key][1]
 
     def canonical_sequence(self, X):
         """(tX, incl, X/tX, proj), with both memberships asserted."""
@@ -290,12 +315,19 @@ class SiltingContext:
         self.rng = rng or random.Random(0)
         self.A = P.A
         self.field = P.A.field
-        ok, wit = is_silting(P, self.rng)
-        if not ok:
-            raise PreconditionError("complex is not silting")
-        self.tilting = is_tilting(P, self.rng)[0]
-        self.P, self.summands = basic_part(P, self.rng)
+        self._cache = {}
+        if not is_presilting(P)[0]:
+            raise PreconditionError("complex is not presilting")
+        # one decomposition gives the silting verdict and the basic part
+        groups = cx.decompose_complex(P, self.rng)
+        if len(groups) != self.A.nclasses:
+            raise PreconditionError(
+                "complex is presilting but has too few summand classes"
+            )
+        self.summands = [g[0] for g in groups]
+        self.P = cx.proj_complex_direct_sum(self.summands)
         self.mcP, _ = self.P.module_form()
+        self.tilting = cx.hom_complexes(self.mcP, self.mcP, -1).dim == 0
         self.mq = [s.module_form()[0] for s in self.summands]
         self.n = len(self.summands)
         self.endo = EndP(self.mq)
@@ -344,7 +376,7 @@ class SiltingContext:
         self.e = cx.ChainMap(self.mcA, self.mcPp, emaps)
         if not self.e.check():
             raise RuntimeError("approximation map is not a chain map")
-        self._assert_left_approximation()
+        self._assert_approximation(self.e, "left")
         # cone of e with rows (P'^{-1} then A) mapping by (-p', e)
         p1 = list(self.Pp.terms.get(-1, []))
         p0 = list(self.Pp.terms.get(0, []))
@@ -398,7 +430,7 @@ class SiltingContext:
                 cx.complexes_isomorphic(grp[0], s) for s in self.summands
             ):
                 raise RuntimeError("cone of the approximation leaves add P")
-        self._assert_right_approximation()
+        self._assert_approximation(self.g, "right")
 
     def _index_regular(self):
         A = self.A
@@ -447,47 +479,36 @@ class SiltingContext:
                 x[b] = w[M.offsets[d] + p]
         return x
 
-    def _assert_left_approximation(self):
-        F = self.field
-        hsAP = cx.HomSpace(self.mcA, self.mcP)
-        if hsAP.nflat == 0:
-            return
-        hsPp = cx.HomSpace(self.mcPp, self.mcP)
-        rows = []
-        for r in range(hsPp.chain_basis.shape[0]):
-            psi = hsPp.map_from_flat(hsPp.chain_basis[r])
-            rows.append(hsAP.flat_of(self.e.compose(psi)))
-        span = (
-            linalg.row_space(F, np.stack(rows, axis=0))
-            if rows
-            else F.zeros((0, hsAP.nflat))
-        )
-        span = linalg.sum_spaces(F, span, hsAP.htpy)
-        for r in range(hsAP.chain_basis.shape[0]):
-            if not linalg.in_span(F, span, hsAP.chain_basis[r]):
-                raise RuntimeError("left approximation property failed")
+    def _assert_approximation(self, u, side):
+        """Every map into add P factors through u, up to homotopy.
 
-    def _assert_right_approximation(self):
+        side "left": u = e: A -> P' and each map A -> P is e followed by a
+        map P' -> P.  side "right": u = g: C -> A[1] and each map
+        P_i -> A[1] is a map P_i -> C followed by g.
+        """
         F = self.field
-        mcA1 = self.mcA.shift(1)
-        for i in range(self.n):
-            Vi = cx.HomSpace(self.mq[i], mcA1)
-            if Vi.nflat == 0:
+        left = side == "left"
+        for T in ([self.mcP] if left else self.mq):
+            V = cx.HomSpace(u.src, T) if left else cx.HomSpace(T, u.tgt)
+            if V.nflat == 0:
                 continue
-            hsQC = cx.HomSpace(self.mq[i], self.mcC)
+            W = cx.HomSpace(u.tgt, T) if left else cx.HomSpace(T, u.src)
             rows = []
-            for r in range(hsQC.chain_basis.shape[0]):
-                psi = hsQC.map_from_flat(hsQC.chain_basis[r])
-                rows.append(Vi.flat_of(psi.compose(self.g)))
+            for r in range(W.chain_basis.shape[0]):
+                psi = W.map_from_flat(W.chain_basis[r])
+                comp = u.compose(psi) if left else psi.compose(u)
+                rows.append(V.flat_of(comp))
             span = (
                 linalg.row_space(F, np.stack(rows, axis=0))
                 if rows
-                else F.zeros((0, Vi.nflat))
+                else F.zeros((0, V.nflat))
             )
-            span = linalg.sum_spaces(F, span, Vi.htpy)
-            for r in range(Vi.chain_basis.shape[0]):
-                if not linalg.in_span(F, span, Vi.chain_basis[r]):
-                    raise RuntimeError("right approximation property failed")
+            span = linalg.sum_spaces(F, span, V.htpy)
+            for r in range(V.chain_basis.shape[0]):
+                if not linalg.in_span(F, span, V.chain_basis[r]):
+                    raise RuntimeError(
+                        "%s approximation property failed" % side
+                    )
 
     # -- the induced complex Q over B ---------------------------------------
 
@@ -495,8 +516,19 @@ class SiltingContext:
         """Hom(P, Y[shift]) as a right B-module, with coordinate data."""
         return HomPModule(self, Ymc, shift)
 
+    def _memo(self, tag, X, shift, build):
+        # the cache keeps X alive so id-based keys stay unique
+        key = (tag, id(X), shift)
+        if key not in self._cache:
+            self._cache[key] = (X, build())
+        return self._cache[key][1]
+
     def hom_P_of(self, X, shift=0):
-        return HomPModule(self, cx.stalk_complex(X), shift)
+        """Hom(P, X[shift]) for a module X, built once per (X, shift)."""
+        return self._memo(
+            "P", X, shift,
+            lambda: HomPModule(self, cx.stalk_complex(X), shift),
+        )
 
     def _build_q(self):
         F = self.field
@@ -519,8 +551,11 @@ class SiltingContext:
         self.Q, self.q_covers = cx.proj_complex_from_module_complex(
             self.Q_mod
         )
-        ok, _ = is_silting(self.Q, self.rng)
-        if not ok:
+        pre, _ = is_presilting(self.Q)
+        self.q_classes = (
+            len(cx.decompose_complex(self.Q, self.rng)) if pre else 0
+        )
+        if self.q_classes != self.B.nclasses:
             raise RuntimeError("induced complex over B is not silting")
 
     # -- phi: A -> End(Q) ----------------------------------------------------
@@ -646,8 +681,9 @@ class SiltingContext:
         )
 
     def q_hom(self, N, shift=0):
-        """Hom(Q, N[shift]) as an A-module through the induced map."""
-        return QHomModule(self, N, shift)
+        """Hom(Q, N[shift]) as an A-module through the induced map, built
+        once per (N, shift)."""
+        return self._memo("Q", N, shift, lambda: QHomModule(self, N, shift))
 
     def in_heart(self, X):
         """Is H^0 torsion, H^{-1} torsion-free, everything else zero?"""
@@ -850,8 +886,9 @@ def bongartz_complete(P, rng=None):
     E_pc, _ = cx.proj_complex_from_module_complex(Cmc)
     total = cx.proj_complex_direct_sum([Pb, E_pc])
     out, out_summands = basic_part(total, rng)
-    ok, _ = is_silting(out, rng)
-    if not ok:
+    # out has one summand per class found, so this is is_silting(out)
+    # without decomposing out again
+    if len(out_summands) != A.nclasses or not is_presilting(out)[0]:
         raise RuntimeError("completion failed to produce a silting complex")
     for s in summands:
         if not any(
@@ -909,12 +946,8 @@ def module_battery(A, torsion=None, max_dim=30, cap=60, seed=0, rounds=8):
     if torsion is not None:
         add(torsion.h0)
         add(torsion.cogen)
-        nuA, _, _ = mod.direct_sum(
-            [mod.injective_module(A, c) for c in range(A.nclasses)]
-        )
-        add(torsion.torsion_part(nuA)[0])
-        reg = mod.regular_module(A)
-        add(mod.quotient_module(reg, torsion.trace_vectors(reg))[0])
+        add(torsion.tnuA)
+        add(torsion.AtA)
         for c in range(A.nclasses):
             P = mod.projective_module(A, c)
             tP, _, PtP, _ = torsion.canonical_sequence(P)
@@ -1002,29 +1035,28 @@ def torsion_resolution(ctx, X, variant):
     if variant in ("fcogen", "fgen") and not tp.in_free(X):
         raise PreconditionError("module is not in the torsion-free class")
     if variant == "tgen":
-        T0, big = _right_approximation(tp.h0, X)
+        T0, big, parts = _right_approximation(tp.h0, X)
         if not big.is_surjective():
             raise RuntimeError("torsion approximation is not surjective")
         L, incl = mod.submodule(T0, mod.kernel_vectors(big), closed=True)
-        middle_ok = _in_add(T0, tp.h0, rng) and tp.in_torsion(L)
+        middle_ok = all(p is tp.h0 for p in parts) and tp.in_torsion(L)
         return L, T0, X, incl, big, middle_ok
     if variant == "tcogen":
         I0, emb = injective_envelope(X, rng)
         T0, incl = tp.torsion_part(I0)
         emb2 = cx.retract_through_inclusion(incl, emb)
         L, proj = mod.quotient_module(T0, mod.image_vectors(emb2))
-        nuA, _, _ = mod.direct_sum(
-            [mod.injective_module(A, c) for c in range(A.nclasses)]
+        middle_ok = (
+            _in_add(T0, tp.summands_of(tp.tnuA, rng), rng)
+            and tp.in_torsion(L)
         )
-        tnuA = tp.torsion_part(nuA)[0]
-        middle_ok = _in_add(T0, tnuA, rng) and tp.in_torsion(L)
         return X, T0, L, emb2, proj, middle_ok
     if variant == "fcogen":
-        F0, big = _left_approximation(X, tp.cogen)
+        F0, big, parts = _left_approximation(X, tp.cogen)
         if not big.is_injective():
             raise RuntimeError("cogenerator approximation is not injective")
         L, proj = mod.quotient_module(F0, mod.image_vectors(big))
-        middle_ok = _in_add(F0, tp.cogen, rng) and tp.in_free(L)
+        middle_ok = all(p is tp.cogen for p in parts) and tp.in_free(L)
         return X, F0, L, big, proj, middle_ok
     if variant == "fgen":
         ps, cover = mod.projective_cover(X)
@@ -1039,50 +1071,57 @@ def torsion_resolution(ctx, X, variant):
             gmats.append(x)
         g = mod.ModuleMap(F0, X, gmats)
         L, incl = mod.submodule(F0, mod.kernel_vectors(g), closed=True)
-        reg = mod.regular_module(A)
-        AtA = mod.quotient_module(reg, tp.trace_vectors(reg))[0]
-        middle_ok = _in_add(F0, AtA, rng) and tp.in_free(L)
+        middle_ok = (
+            _in_add(F0, tp.summands_of(tp.AtA, rng), rng) and tp.in_free(L)
+        )
         return L, F0, X, incl, g, middle_ok
     raise ValueError("unknown variant %r" % (variant,))
 
 
 def _right_approximation(G, X):
-    """(G-power, surjection candidate) stacking all maps G -> X."""
+    """(G-power, surjection candidate, summands) stacking all maps G -> X.
+
+    The summands are the modules the power was summed from, all G.
+    """
     maps, _ = mod.hom_space(G, X)
     if not maps:
         Z = mod.Module(
             X.A, [0] * X.A.nclasses,
             [X.field.zeros((0, 0)) for _ in range(X.A.dim)],
         )
-        return Z, mod.zero_map(Z, X)
-    S, incls, projs = mod.direct_sum([G] * len(maps))
+        return Z, mod.zero_map(Z, X), []
+    parts = [G] * len(maps)
+    S, incls, projs = mod.direct_sum(parts)
     big = mod.zero_map(S, X)
     for k, m in enumerate(maps):
         big = big.add(projs[k].compose(m))
-    return S, big
+    return S, big, parts
 
 
 def _left_approximation(X, G):
-    """(G-power, injection candidate) stacking all maps X -> G."""
+    """(G-power, injection candidate, summands) stacking all maps X -> G.
+
+    The summands are the modules the power was summed from, all G.
+    """
     maps, _ = mod.hom_space(X, G)
     if not maps:
         Z = mod.Module(
             X.A, [0] * X.A.nclasses,
             [X.field.zeros((0, 0)) for _ in range(X.A.dim)],
         )
-        return Z, mod.zero_map(X, Z)
-    S, incls, projs = mod.direct_sum([G] * len(maps))
+        return Z, mod.zero_map(X, Z), []
+    parts = [G] * len(maps)
+    S, incls, projs = mod.direct_sum(parts)
     big = mod.zero_map(X, S)
     for k, m in enumerate(maps):
         big = big.add(m.compose(incls[k]))
-    return S, big
+    return S, big, parts
 
 
-def _in_add(X, G, rng=None):
-    """Is every indecomposable summand of X a summand of G?"""
+def _in_add(X, gparts, rng=None):
+    """Is every indecomposable summand of X isomorphic to one in gparts?"""
     if X.total == 0:
         return True
-    gparts = [grp[0][0] for grp in mod.decompose_module(G, rng)]
     for grp in mod.decompose_module(X, rng):
         S = grp[0][0]
         if not any(
@@ -1123,8 +1162,7 @@ def verify_theorem(ctx, battery=None, battery_b=None, max_dim=30, cap=60,
         battery_b, _ = module_battery(B, tpB, max_dim, cap, seed)
 
     counts_ok = (
-        len(ctx.summands) == A.nclasses == B.nclasses
-        == len(cx.decompose_complex(ctx.Q, ctx.rng))
+        len(ctx.summands) == A.nclasses == B.nclasses == ctx.q_classes
     )
     checks.append(_entry(
         "class-counts", "pass" if counts_ok else "fail",

@@ -147,6 +147,27 @@ def test_precondition_exit_code(tmp_path, capsys):
     assert "precondition" in err
 
 
+def test_presilting_with_too_few_classes_is_refused(tmp_path, capsys):
+    # the stalk P1 over A2 is presilting with one summand class of two
+    stalk = tmp_path / "p1.cpx"
+    stalk.write_text("complex p1\nsummand\ndeg 0 P1\n")
+    for cmd in ("endo", "theorem", "ar"):
+        rc = cli.main([cmd, fixture("a2_tilt.alg"), str(stalk)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "precondition: complex is presilting but has too few summand "
+            "classes\n"
+        )
+    rc = cli.main(["check", fixture("a2_tilt.alg"), str(stalk)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "presilting  certified  verdict=yes\n" in out
+    assert "silting     certified  verdict=no\n" in out
+    assert "tilting     certified  verdict=no  [not silting]\n" in out
+
+
 def test_endo_command(capsys):
     rc = cli.main([
         "endo", fixture("paper_nakayama2.alg"),

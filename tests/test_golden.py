@@ -11,7 +11,11 @@ complex P2 --x1--> P1.  After a deliberate report change, rewrite them with
 
 tests/golden/paper_nakayama2-theorem-Q.json is not one of these cases: it
 is the JSON report of `theorem` on paper_nakayama2 with --field Q, and the
-rational-theorem CI job compares against it under a time limit.
+rational-theorem CI job compares against it under a time limit.  Neither
+is tests/golden/linear_a5-theorem.json, the JSON report of `theorem` on
+linear A5 (tests/golden/linear_a5.alg, with linear_a5.cpx the `silt
+complete` of P2 --x1--> P1); the linear-a5-theorem CI job compares against
+it under a time limit.
 """
 
 import contextlib

@@ -292,7 +292,7 @@ class Algebra:
         corner = self.corner_subalgebra(e)
         if self._corner_is_local(corner):
             return None
-        for x in _candidates(self.field, corner, rng, 48):
+        for x in linalg.candidates(self.field, corner, rng, 48, eager=True):
             u = split_by_min_poly(
                 self.field, x, self.lm(x), e, lambda a, b: self.el_mult(a, b)
             )
@@ -307,7 +307,7 @@ class Algebra:
         if eAf.shape[0] == 0 or fAe.shape[0] == 0:
             return False
         F = self.field
-        for u in _candidates(F, eAf, rng, 24):
+        for u in linalg.candidates(F, eAf, rng, 24, eager=True):
             # solve v @ ... : u*v = e and v*u = f, v constrained to fAe span
             m_uv = self.lm(u)          # (u*v) = v @ m_uv
             m_vu = self.rm(u)          # (v*u) = v @ m_vu
@@ -355,21 +355,6 @@ class Algebra:
 
 
 # ---- generic idempotent machinery ---------------------------------------
-
-
-def _candidates(F, basis, rng, ntrials):
-    """The rows of basis, then ntrials random combinations of them.
-
-    All coefficients are drawn up front, so the rng advances by the same
-    amount however early the caller stops; each combination is formed
-    only when the caller reaches it.
-    """
-    k = basis.shape[0]
-    coeffs = [[F.rand(rng) for _ in range(k)] for _ in range(ntrials)]
-    for i in range(k):
-        yield basis[i]
-    for c in coeffs:
-        yield F.matmul(F.array([c]), basis)[0]
 
 
 def operator_min_poly(F, m):

@@ -23,7 +23,7 @@ def stalk_in_add_p(ctx, i, shift=0):
     return any(cx.complexes_isomorphic(X, s, ctx.rng) for s in ctx.summands)
 
 
-def _is_injective_over(B, Y, rng=None):
+def _is_injective_over(B, Y):
     """Ext^1(S, Y) = 0 against every simple is equivalent to injectivity."""
     if Y.total == 0:
         return True
@@ -51,7 +51,7 @@ def connecting_term_check(ctx, i):
     right = ctx.hom_P_of(mod.projective_module(A, i), 1).module
     moved = mod.tau_inverse(left)
     ok = mod.modules_isomorphic(moved, right, ctx.rng) is not None
-    inj = _is_injective_over(ctx.B, left, ctx.rng)
+    inj = _is_injective_over(ctx.B, left)
     ok = ok and (inj == stalk_in_add_p(ctx, i, shift=0))
     return _entry(
         name, "pass" if ok else "fail",
@@ -72,7 +72,7 @@ def connecting_sequence(ctx, i):
         raise PreconditionError("shifted projective class is a summand of P")
     left = ctx.hom_P_of(mod.injective_module(A, i), 0).module
     right = ctx.hom_P_of(mod.projective_module(A, i), 1).module
-    tX, E, X, f, g = mod.ar_sequence(right, ctx.rng)
+    tX, E, X, f, g = mod.ar_sequence(right)
     if mod.modules_isomorphic(tX, left, ctx.rng) is None:
         raise RuntimeError("AR sequence does not start at Hom(P, nu P_i)")
     if not mod.sequence_is_exact(tX, E, X, f, g):
@@ -212,7 +212,7 @@ def split_ar_report(ctx, battery=None, battery_b=None):
     for X in battery:
         if mod.tau(X).total == 0:
             continue  # projective: no AR sequence ends here
-        tX, E, X3, f, g = mod.ar_sequence(X, ctx.rng)
+        tX, E, X3, f, g = mod.ar_sequence(X)
         if tp.in_torsion(X) and tp.in_torsion(tX):
             m1, m2, m3, w1, w2 = _hom_p_sequence(ctx, tX, E, X3, f, g, 0)
         elif tp.in_free(X) and tp.in_free(tX):

@@ -377,21 +377,6 @@ def _load(args):
     return A, P
 
 
-def _context(P):
-    """SiltingContext with a descriptive witness on failure."""
-    ok, wit = silting.is_presilting(P)
-    if not ok:
-        raise silting.PreconditionError(
-            "complex is not presilting: nonzero degree-1 self-map "
-            "witness of total rank %d"
-            % sum(int(np.count_nonzero(m.mats[c]))
-                  for m in wit.maps.values()
-                  for c in range(len(m.mats)))
-        )
-    # raises "complex is presilting but has too few summand classes"
-    return silting.SiltingContext(P)
-
-
 def _emit(args, report, extra_text=""):
     if args.report == "json":
         out = rep.emit_json(report)
@@ -468,7 +453,7 @@ def cmd_complete(args):
 
 def cmd_endo(args):
     A, P = _load(args)
-    ctx = _context(P)
+    ctx = silting.SiltingContext(P)
     n, counts = ctx.B.gabriel_quiver_report()
     checks = [
         {"name": "endo-dimension", "status": "pass",
@@ -488,7 +473,7 @@ def cmd_endo(args):
 
 def cmd_theorem(args):
     A, P = _load(args)
-    ctx = _context(P)
+    ctx = silting.SiltingContext(P)
     checks = silting.verify_theorem(
         ctx, max_dim=args.battery_max_dim, cap=args.battery_cap,
         seed=args.seed,
@@ -501,7 +486,7 @@ def cmd_theorem(args):
 
 def cmd_ar(args):
     A, P = _load(args)
-    ctx = _context(P)
+    ctx = silting.SiltingContext(P)
     battery, cert = silting.module_battery(
         A, ctx.torsion_A, args.battery_max_dim, args.battery_cap, args.seed
     )

@@ -751,7 +751,7 @@ def map_inverse(f):
     return mod.ModuleMap(f.tgt, f.src, mats)
 
 
-def complexes_isomorphic(X, Y, rng=None, trials=40):
+def complexes_isomorphic(X, Y, rng=None):
     """Isomorphism in the homotopy category, tested after minimization."""
     rng = rng or random.Random(0)
     Xm, Ym = minimize(X), minimize(Y)
@@ -763,16 +763,7 @@ def complexes_isomorphic(X, Y, rng=None, trials=40):
     mx, _ = Xm.module_form()
     my, _ = Ym.module_form()
     hs = HomSpace(mx, my)
-    F = X.field
-    for i in range(hs.chain_basis.shape[0]):
-        f = hs.map_from_flat(hs.chain_basis[i])
-        if f.is_chain_iso():
-            return f
-    for _ in range(trials):
-        co = [F.rand(rng) for _ in range(hs.chain_basis.shape[0])]
-        v = F.zeros((hs.nflat,))
-        for c, i in zip(co, range(hs.chain_basis.shape[0])):
-            v = F.reduce(v + c * hs.chain_basis[i])
+    for v in linalg.candidates(X.field, hs.chain_basis, rng, 40):
         f = hs.map_from_flat(v)
         if f.is_chain_iso():
             return f

@@ -18,6 +18,9 @@ nonzero entries of row k of b, so a product costs one Fraction
 multiply-add per pair of nonzero factors instead of one per term of the
 dense sum, most of which are zero in the sparse structure-constant and
 action matrices the engine multiplies.
+
+`candidates` is the engine's one seeded search: the rows of a basis, then
+random combinations of them, with every random coefficient drawn there.
 """
 
 from fractions import Fraction
@@ -344,6 +347,23 @@ def quotient_coords(F, sub, total_basis, v):
     if c is None:
         raise ValueError("vector not in the spanned space")
     return c[sub.shape[0] :]
+
+
+def candidates(F, basis, rng, ntrials, eager=False):
+    """The rows of basis, then ntrials seeded random combinations of them.
+
+    Each combination draws len(basis) coefficients with F.rand.  By
+    default a combination's coefficients are drawn only when the caller
+    reaches it.  With eager=True all of them are drawn at the first next(),
+    so the rng advances by the same amount however early the caller stops.
+    """
+    k = basis.shape[0]
+    draws = ([F.rand(rng) for _ in range(k)] for _ in range(ntrials))
+    if eager:
+        draws = list(draws)
+    yield from basis
+    for c in draws:
+        yield F.matmul(F.array([c]), basis)[0]
 
 
 def invert(F, a):

@@ -249,10 +249,10 @@ def hom_dim(M, N):
 def regular_module(A):
     """A as a right module over itself; piece c spanned by basis with tgt c."""
     pos = [[b for b in range(A.dim) if A.tgt[b] == c] for c in range(A.nclasses)]
-    return _submodule_of_regular(A, list(range(A.dim)), pos)
+    return _submodule_of_regular(A, pos)
 
 
-def _submodule_of_regular(A, members, pos):
+def _submodule_of_regular(A, pos):
     """Module on a tgt-graded subset of the algebra basis, closed under mult."""
     F = A.field
     dims = [len(p) for p in pos]
@@ -292,7 +292,7 @@ def _build_projective(A, c):
     pos = [
         [b for b in members if A.tgt[b] == d] for d in range(A.nclasses)
     ]
-    P = _submodule_of_regular(A, members, pos)
+    P = _submodule_of_regular(A, pos)
     P.pclass = c
     gen = A.field.zeros((P.total,))
     gen[P.offsets[c] + pos[c].index(A.idem[c])] = 1
@@ -811,7 +811,7 @@ def is_indecomposable(M):
     return E.dim - rad.shape[0] == 1
 
 
-def modules_isomorphic(M, N, rng=None, trials=40):
+def modules_isomorphic(M, N, rng=None):
     """Isomorphism M -> N or None.
 
     Searches the Hom space for an invertible map: basis elements first,
@@ -823,18 +823,11 @@ def modules_isomorphic(M, N, rng=None, trials=40):
     if M.total == 0:
         return zero_map(M, N)
     rng = rng or random.Random(0)
-    maps, flat = hom_space(M, N)
-    if not maps:
+    _, flat = hom_space(M, N)
+    if flat.shape[0] == 0:
         return None
-    for f in maps:
-        if f.is_isomorphism():
-            return f
-    F = M.field
-    for _ in range(trials):
-        co = [F.rand(rng) for _ in maps]
-        f = zero_map(M, N)
-        for c, m in zip(co, maps):
-            f = f.add(m.scale(c))
+    for v in linalg.candidates(M.field, flat, rng, 40):
+        f = map_from_flat(M, N, v)
         if f.is_isomorphism():
             return f
     return None
@@ -928,12 +921,11 @@ def extension_sequence(M, N, ext_data, cocycle_flat):
 # ---- Auslander-Reiten sequences -----------------------------------------
 
 
-def ar_sequence(X, rng=None):
+def ar_sequence(X):
     """Almost split sequence 0 -> tau X -> E -> X -> 0.
 
     X must be indecomposable and non-projective.
     """
-    rng = rng or random.Random(0)
     F = X.field
     tX = tau(X)
     if tX.total == 0:
@@ -1017,11 +1009,11 @@ def is_almost_split(N, E, M, f, g, test_modules):
     Z -> M from the supplied battery factors through g."""
     if not sequence_is_exact(N, E, M, f, g):
         return False
-    if _splits(N, E, M, f, g):
+    # the sequence splits iff g has a section
+    if _is_retraction_target(g, M):
         return False
     if not (is_indecomposable(N) and is_indecomposable(M)):
         return False
-    F = M.field
     for Z in test_modules:
         maps, _ = hom_space(Z, M)
         for h in maps:
@@ -1031,17 +1023,6 @@ def is_almost_split(N, E, M, f, g, test_modules):
                 return False
     return True
 
-
-def _splits(N, E, M, f, g):
-    # the sequence splits iff g has a section
-    maps, _ = hom_space(M, E)
-    idM = identity_map(M)
-    F = M.field
-    flats = [m.compose(g).flat() for m in maps]
-    if not flats:
-        return M.total == 0
-    basis = np.stack(flats, axis=0)
-    return linalg.in_span(F, basis, idM.flat())
 
 def _is_retraction_target(h, M):
     """Does some s: M -> Z satisfy s . h = id_M?  (h: Z -> M)"""

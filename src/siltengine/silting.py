@@ -316,8 +316,14 @@ class SiltingContext:
         self.A = P.A
         self.field = P.A.field
         self._cache = {}
-        if not is_presilting(P)[0]:
-            raise PreconditionError("complex is not presilting")
+        ok, wit = is_presilting(P)
+        if not ok:
+            raise PreconditionError(
+                "complex is not presilting: nonzero degree-1 self-map "
+                "witness of total rank %d"
+                % sum(int(np.count_nonzero(m))
+                      for f in wit.maps.values() for m in f.mats)
+            )
         # one decomposition gives the silting verdict and the basic part
         groups = cx.decompose_complex(P, self.rng)
         if len(groups) != self.A.nclasses:
@@ -1004,14 +1010,9 @@ def injective_envelope(X, rng=None):
     if not injs:
         raise RuntimeError("module has empty socle")
     I, _, _ = mod.direct_sum(injs)
-    maps, _ = mod.hom_space(X, I)
-    for f in maps:
-        if f.is_injective():
-            return I, f
-    for _ in range(80):
-        f = mod.zero_map(X, I)
-        for m in maps:
-            f = f.add(m.scale(F.rand(rng)))
+    _, flat = mod.hom_space(X, I)
+    for v in linalg.candidates(F, flat, rng, 80):
+        f = mod.map_from_flat(X, I, v)
         if f.is_injective():
             return I, f
     raise RuntimeError("no embedding into the injective envelope found")
@@ -1035,7 +1036,7 @@ def torsion_resolution(ctx, X, variant):
     if variant in ("fcogen", "fgen") and not tp.in_free(X):
         raise PreconditionError("module is not in the torsion-free class")
     if variant == "tgen":
-        T0, big, parts = _right_approximation(tp.h0, X)
+        T0, big, parts = _approximation(tp.h0, X, "right")
         if not big.is_surjective():
             raise RuntimeError("torsion approximation is not surjective")
         L, incl = mod.submodule(T0, mod.kernel_vectors(big), closed=True)
@@ -1052,7 +1053,7 @@ def torsion_resolution(ctx, X, variant):
         )
         return X, T0, L, emb2, proj, middle_ok
     if variant == "fcogen":
-        F0, big, parts = _left_approximation(X, tp.cogen)
+        F0, big, parts = _approximation(tp.cogen, X, "left")
         if not big.is_injective():
             raise RuntimeError("cogenerator approximation is not injective")
         L, proj = mod.quotient_module(F0, mod.image_vectors(big))
@@ -1078,43 +1079,25 @@ def torsion_resolution(ctx, X, variant):
     raise ValueError("unknown variant %r" % (variant,))
 
 
-def _right_approximation(G, X):
-    """(G-power, surjection candidate, summands) stacking all maps G -> X.
+def _approximation(G, X, side):
+    """(G-power S, candidate map, summands) from every map between G and X.
 
-    The summands are the modules the power was summed from, all G.
+    side "right": every map G -> X, summed into a surjection candidate
+    S -> X; side "left": every map X -> G, stacked into an injection
+    candidate X -> S.  The summands are the modules S was summed from,
+    all G.
     """
-    maps, _ = mod.hom_space(G, X)
-    if not maps:
-        Z = mod.Module(
-            X.A, [0] * X.A.nclasses,
-            [X.field.zeros((0, 0)) for _ in range(X.A.dim)],
-        )
-        return Z, mod.zero_map(Z, X), []
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    left = side == "left"
+    maps, _ = mod.hom_space(X, G) if left else mod.hom_space(G, X)
     parts = [G] * len(maps)
-    S, incls, projs = mod.direct_sum(parts)
-    big = mod.zero_map(S, X)
+    S, incls, projs = (
+        mod.direct_sum(parts) if maps else (cx.zero_module(X.A), [], [])
+    )
+    big = mod.zero_map(X, S) if left else mod.zero_map(S, X)
     for k, m in enumerate(maps):
-        big = big.add(projs[k].compose(m))
-    return S, big, parts
-
-
-def _left_approximation(X, G):
-    """(G-power, injection candidate, summands) stacking all maps X -> G.
-
-    The summands are the modules the power was summed from, all G.
-    """
-    maps, _ = mod.hom_space(X, G)
-    if not maps:
-        Z = mod.Module(
-            X.A, [0] * X.A.nclasses,
-            [X.field.zeros((0, 0)) for _ in range(X.A.dim)],
-        )
-        return Z, mod.zero_map(X, Z), []
-    parts = [G] * len(maps)
-    S, incls, projs = mod.direct_sum(parts)
-    big = mod.zero_map(X, S)
-    for k, m in enumerate(maps):
-        big = big.add(m.compose(incls[k]))
+        big = big.add(m.compose(incls[k]) if left else projs[k].compose(m))
     return S, big, parts
 
 

@@ -147,6 +147,21 @@ def test_precondition_exit_code(tmp_path, capsys):
     assert "precondition" in err
 
 
+def test_non_presilting_complex_is_refused_with_its_witness(tmp_path, capsys):
+    # P1 + P1[1] over A2: id of P1 is a nonzero map P1[1] -> (P1 + P1[1])[1]
+    bad = tmp_path / "bad.cpx"
+    bad.write_text("complex bad\nsummand\ndeg 0 P1\nsummand\ndeg -1 P1\n")
+    for cmd in ("endo", "theorem", "ar"):
+        rc = cli.main([cmd, fixture("a2_tilt.alg"), str(bad)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "precondition: complex is not presilting: nonzero degree-1 "
+            "self-map witness of total rank 2\n"
+        )
+
+
 def test_presilting_with_too_few_classes_is_refused(tmp_path, capsys):
     # the stalk P1 over A2 is presilting with one summand class of two
     stalk = tmp_path / "p1.cpx"

@@ -376,3 +376,52 @@ def test_gf_largest_prime_is_exact_up_to_inner_dimension_2_to_the_15():
     a = G.array(np.full((1, n), p - 1))
     b = G.array(np.full((n, 1), p - 1))
     assert G.matmul(a, b)[0, 0] == n % p
+
+
+# ---- the seeded search ----------------------------------------------------
+
+
+def _drawn(F, rng, n):
+    return [F.rand(rng) for _ in range(n)]
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF32003", "Q"])
+def test_candidates_yield_rows_then_lazy_combinations(field):
+    basis = _rand_matrix(field, random.Random(1), 3, 5)
+    rng, ref = random.Random(2), random.Random(2)
+    gen = linalg.candidates(field, basis, rng, 4)
+    for i in range(3):
+        assert np.array_equal(next(gen), basis[i])
+        assert rng.getstate() == ref.getstate()
+    # each combination draws its len(basis) coefficients when reached
+    for _ in range(4):
+        c = _drawn(field, ref, 3)
+        assert np.array_equal(next(gen),
+                              field.matmul(field.array([c]), basis)[0])
+        assert rng.getstate() == ref.getstate()
+    assert next(gen, None) is None
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["GF32003", "Q"])
+def test_candidates_eager_draws_everything_at_the_first_next(field):
+    basis = _rand_matrix(field, random.Random(1), 3, 5)
+    rng, ref = random.Random(2), random.Random(2)
+    gen = linalg.candidates(field, basis, rng, 4, eager=True)
+    assert rng.getstate() == ref.getstate()
+    assert np.array_equal(next(gen), basis[0])
+    coeffs = [_drawn(field, ref, 3) for _ in range(4)]
+    assert rng.getstate() == ref.getstate()
+    rest = list(gen)
+    assert rng.getstate() == ref.getstate()
+    assert len(rest) == 2 + 4
+    for row, c in zip(rest[2:], coeffs):
+        assert np.array_equal(row, field.matmul(field.array([c]), basis)[0])
+
+
+def test_candidates_of_an_empty_basis_draw_nothing():
+    for field in (F, QQ):
+        rng, ref = random.Random(3), random.Random(3)
+        out = list(linalg.candidates(field, field.zeros((0, 4)), rng, 5))
+        assert len(out) == 5
+        assert all(np.array_equal(v, field.zeros((4,))) for v in out)
+        assert rng.getstate() == ref.getstate()

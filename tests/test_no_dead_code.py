@@ -4,6 +4,9 @@ A name counts as used when it occurs as a whole word somewhere in
 `src/siltengine` other than on a line that defines it.  This is a name
 check, not a call graph: a dead method that shares its name with a live
 one elsewhere goes unnoticed.
+
+Every parameter of every function, method and lambda other than `self`
+is read somewhere in its body.
 """
 
 import ast
@@ -67,3 +70,27 @@ def test_every_definition_has_a_use():
 def test_allowlist_names_exist():
     names = {name for name, _, _ in _definitions()}
     assert ALLOWED <= names
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(
+                fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+            ):
+                continue
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+            read = {
+                n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(fn, "name", "<lambda>")
+            unread += [
+                "%s:%d %s(%s)" % (path.name, fn.lineno, name, p)
+                for p in params if p != "self" and p not in read
+            ]
+    assert unread == [], "parameters never read: %s" % ", ".join(unread)

@@ -3,6 +3,7 @@
 The snapshots in tests/golden/ pin the reports an engine change must not
 move.  Besides the bundled fixtures they cover linear A4 (1 -> 2 -> 3 -> 4
 over GF(32003)), whose battery and `ar` reach Ext on more than three
+vertices, and whose `theorem` checks the comparison theorem on four
 vertices.  Its algebra file is written from the ladder recipe at run time;
 its complex, tests/golden/linear_a4.cpx, is `silt complete` of the seed
 complex P2 --x1--> P1.  After a deliberate report change, rewrite them with
@@ -15,7 +16,9 @@ rational-theorem CI job compares against it under a time limit.  Neither
 is tests/golden/linear_a5-theorem.json, the JSON report of `theorem` on
 linear A5 (tests/golden/linear_a5.alg, with linear_a5.cpx the `silt
 complete` of P2 --x1--> P1); the linear-a5-theorem CI job compares against
-it under a time limit.
+it under a time limit.  Nor is tests/golden/linear_a6-theorem.json, the
+same report on linear A6 (linear_a6.alg, linear_a6.cpx), which the
+linear-a6-theorem CI job compares against under a time limit.
 """
 
 import contextlib
@@ -77,6 +80,8 @@ def _cases():
     out.append(("linear_a4-battery.json",
                 ["battery", LINEAR_A4, "--report", "json"]))
     out.append(("linear_a4-ar.txt", ["ar", LINEAR_A4, cpx]))
+    out.append(("linear_a4-theorem.json",
+                ["theorem", LINEAR_A4, cpx, "--report", "json"]))
     return out
 
 

@@ -540,6 +540,14 @@ COMMANDS = {
 }
 
 
+def positive_int(text):
+    """argparse type of a count that must be at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
+    return n
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="silt",
@@ -556,8 +564,8 @@ def build_parser():
         p.add_argument("--report", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None,
                        help="directory for a copy of the output")
-        p.add_argument("--battery-max-dim", type=int, default=30)
-        p.add_argument("--battery-cap", type=int, default=60)
+        p.add_argument("--battery-max-dim", type=positive_int, default=30)
+        p.add_argument("--battery-cap", type=positive_int, default=60)
         p.add_argument("--seed", type=int, default=0)
     return parser
 

@@ -12,11 +12,11 @@ Two representations are used together:
   supports minimization and summand bookkeeping.
 """
 
+import functools
 import random
 
 import numpy as np
 
-from . import algebra as alg_mod
 from . import linalg
 from . import modules as mod
 
@@ -274,20 +274,41 @@ class HomSpace:
             return self.field.zeros((0,))
         return np.concatenate(parts)
 
+    @functools.cached_property
+    def _quotient(self):
+        """[htpy; class_basis] factored once, homotopy coordinates dropped."""
+        return linalg.Coords(
+            self.field,
+            np.concatenate([self.htpy, self.class_basis], axis=0),
+            skip=self.htpy.shape[0],
+        )
+
+    def coords_of(self, flats):
+        """Class coordinates over class_basis, modulo homotopy, of a batch
+        of flat chain maps (one per row)."""
+        x = self._quotient.of(flats)
+        if x is None:
+            raise ValueError("vector not in the spanned space")
+        return x
+
     def coords(self, f):
         """Class coordinates of a chain map over class_basis, mod homotopy."""
-        return linalg.quotient_coords(
-            self.field, self.htpy, self.class_basis, self.flat_of(f)
-        )
+        return self.coords_of(self.flat_of(f).reshape(1, -1))[0]
+
+    def induced(self, fn, tgt):
+        """Matrix whose row r is tgt's class coordinates of
+        fn(class_map(r)), for a map fn from self's chain maps to tgt's."""
+        if self.dim == 0:
+            return self.field.zeros((0, tgt.dim))
+        return tgt.coords_of(np.stack(
+            [tgt.flat_of(fn(self.class_map(r))) for r in range(self.dim)]
+        ))
 
     def class_map(self, i):
         return self.map_from_flat(self.class_basis[i])
 
     def is_nullhomotopic(self, f):
-        v = self.flat_of(f)
-        if self.htpy.shape[0] == 0:
-            return bool(np.all(v == 0))
-        return linalg.in_span(self.field, self.htpy, v)
+        return linalg.in_span(self.field, self.htpy, self.flat_of(f))
 
 
 def hom_complexes(X, Y, n=0):
@@ -301,18 +322,14 @@ def find_homotopy(hs, f):
     Returns {degree: ModuleMap X^d -> Y^{d-1}} with
     f = s . d_Y + d_X . s, or None if f is not null-homotopic.
     """
-    target = hs.flat_of(f)
-    if not hs.htpy_gens:
-        return {} if np.all(target == 0) else None
-    co = linalg.coords_in_basis(hs.field, hs.htpy_images, target)
+    co = linalg.coords_in_basis(hs.field, hs.htpy_images, hs.flat_of(f))
     if co is None:
         return None
     out = {}
-    for c, (d, s) in zip(co, hs.htpy_gens):
-        if c == 0:
-            continue
-        piece = s.scale(c)
-        out[d] = piece if d not in out else out[d].add(piece)
+    for d in {d for d, _ in hs.htpy_gens}:
+        ks = [k for k, (e, _) in enumerate(hs.htpy_gens) if e == d]
+        if np.any(co[ks] != 0):
+            out[d] = mod.combination([hs.htpy_gens[k][1] for k in ks], co[ks])
     return out
 
 
@@ -626,37 +643,11 @@ def chain_end_algebra(X):
     the pair for homotopy bookkeeping).  Identity is basis element 0.
     """
     hs = HomSpace(X, X)
-    F = X.field
-    ident = identity_chain_map(X)
-    idflat = hs.flat_of(ident)
-    rest = linalg.complement(F, idflat.reshape(1, -1), hs.chain_basis)
-    basis_flat = np.concatenate([idflat.reshape(1, -1), rest], axis=0)
-    n = basis_flat.shape[0]
-    basis_maps = [hs.map_from_flat(basis_flat[i]) for i in range(n)]
-    coords = linalg.Coords(F, basis_flat)
-    mult = F.zeros((n, n, n))
-    for i in range(n):
-        prods = np.stack([
-            hs.flat_of(basis_maps[i].compose(basis_maps[j])) for j in range(n)
-        ])
-        block = coords.of(prods)
-        if block is None:
-            raise RuntimeError("chain endomorphisms not closed")
-        mult[i] = block
-    E = alg_mod.Algebra(
-        F, ["f%d" % i for i in range(n)], [0] * n, [0] * n, mult, [0], 1
+    E, basis_maps = mod.algebra_of_maps(
+        X.field, identity_chain_map(X), hs.chain_basis, hs.map_from_flat,
+        hs.flat_of,
     )
     return E, basis_maps, hs
-
-
-def chain_map_from_element(basis_maps, x):
-    out = None
-    for i in np.flatnonzero(np.asarray(x) != 0):
-        piece = basis_maps[int(i)].scale(x[int(i)])
-        out = piece if out is None else out.add(piece)
-    if out is None:
-        return basis_maps[0].scale(0)
-    return out
 
 
 def decompose_complex(X, rng=None):
@@ -676,7 +667,7 @@ def decompose_complex(X, rng=None):
     for g in groups:
         grp = []
         for el in g:
-            emap = chain_map_from_element(basis_maps, el)
+            emap = mod.combination(basis_maps, el)
             grp.append(_standardize_summand(mc, emap))
         out.append(grp)
     return out

@@ -9,8 +9,11 @@ Solves factor once and solve many: `solve_matrix` reduces `[a | b]` once
 for every column of b, and `coords_in_basis`, `in_span` and `solve` are
 one-column cases of it.  `Coords` factors a basis of independent rows once
 and then gives the coordinates of a whole batch of vectors with one matrix
-product, checked by multiplying back.  `complement` picks its rows from
-the pivot columns of one reduction.
+product, checked by multiplying back.  With `skip=k` it drops the
+coordinates over the first k rows, which gives coordinates modulo their
+span: factor [sub; complement] once and every vector's class in the
+quotient is one row of a product.  `complement` picks its rows from the
+pivot columns of one reduction.
 
 Products go through `F.matmul`.  Over GF(p) it is a plain int64 `@`
 reduced mod p.  Over Q it skips zeros: each nonzero a[i, k] scales the
@@ -260,10 +263,13 @@ class Coords:
     """Coordinates over a fixed basis of independent rows, factored once.
 
     With P the pivot columns of the basis, basis[:, P] is invertible and
-    x @ basis = v forces x = v[P] @ inv(basis[:, P]).
+    x @ basis = v forces x = v[P] @ inv(basis[:, P]).  The coordinates
+    over the first `skip` rows are dropped, so with basis = [sub; rest]
+    and skip = len(sub) they are the coordinates over rest modulo
+    span(sub).
     """
 
-    def __init__(self, F, basis):
+    def __init__(self, F, basis, skip=0):
         k, m = basis.shape
         r, pivots = rref(F, np.concatenate([basis, F.eye(k)], axis=1))
         if k and pivots[-1] >= m:
@@ -271,18 +277,19 @@ class Coords:
         self.field = F
         self.basis = basis
         self.pivots = pivots
+        self.skip = skip
         # rref([basis | I]) = [E basis | E] with E basis[:, P] = I
         self.inv = r[:, m:]
 
     def of(self, vs):
-        """X with X @ basis = vs for a batch of rows vs, or None if some
-        row lies outside the span."""
+        """X with X @ basis = vs for a batch of rows vs, less its first
+        `skip` columns, or None if some row lies outside the span."""
         F = self.field
         vs = F.reduce(vs)
         x = F.matmul(vs[:, self.pivots], self.inv)
         if not np.array_equal(F.matmul(x, self.basis), vs):
             return None
-        return x
+        return x[:, self.skip:]
 
 
 def sum_spaces(F, u, v):
@@ -329,24 +336,6 @@ def complement(F, sub, whole):
     _, pivots = rref(F, stacked.T)
     k = stacked.shape[0] - whole.shape[0]
     return whole[[c - k for c in pivots if c >= k]]
-
-
-def quotient_coords(F, sub, total_basis, v):
-    """Coordinates of v in span(total_basis) modulo span(sub).
-
-    total_basis rows must be independent from sub and jointly span a space
-    containing v.  Returns the coefficient vector over total_basis rows.
-    """
-    sub = row_space(F, sub)
-    if total_basis.shape[0] == 0:
-        return F.zeros((0,))
-    stacked = (
-        np.concatenate([sub, total_basis], axis=0) if sub.shape[0] else total_basis
-    )
-    c = coords_in_basis(F, stacked, v)
-    if c is None:
-        raise ValueError("vector not in the spanned space")
-    return c[sub.shape[0] :]
 
 
 def candidates(F, basis, rng, ntrials, eager=False):

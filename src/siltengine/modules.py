@@ -468,7 +468,8 @@ def quotient_module(M, sub_vectors):
     # less the first pieces[c].shape[0], are the coordinates modulo the
     # submodule.
     coords = [
-        linalg.Coords(F, np.concatenate([pieces[c], comps[c]], axis=0))
+        linalg.Coords(F, np.concatenate([pieces[c], comps[c]], axis=0),
+                      skip=pieces[c].shape[0])
         for c in range(M.A.nclasses)
     ]
 
@@ -476,7 +477,7 @@ def quotient_module(M, sub_vectors):
         x = coords[c].of(vs)
         if x is None:
             raise RuntimeError("vector not in the spanned space")
-        return x[:, pieces[c].shape[0]:]
+        return x
 
     act = [
         quotient_rows(int(M.A.tgt[b]),
@@ -727,24 +728,25 @@ def tau_inverse(M):
 # ---- endomorphisms and decomposition ------------------------------------
 
 
-def end_algebra(M):
-    """(Algebra E, list of ModuleMaps matching its basis).
+def algebra_of_maps(F, ident, span, to_map, flat_of):
+    """(Algebra E, list of maps matching its basis) for a space of
+    endomorphisms closed under composition.
 
-    One idempotent class; the identity endomorphism is basis element 0.
+    span's rows span the space in flat coordinates; to_map turns a flat
+    row into a map and flat_of a map into its row.  One idempotent class;
+    the identity `ident` is basis element 0.  Serves module maps and chain
+    maps alike.
     """
-    F = M.field
-    maps, flat = hom_space(M, M)
-    ident = identity_map(M)
-    idflat = ident.flat()
-    rest = linalg.complement(F, idflat.reshape(1, -1), flat)
-    basis_flat = np.concatenate([idflat.reshape(1, -1), rest], axis=0)
+    idflat = flat_of(ident).reshape(1, -1)
+    rest = linalg.complement(F, idflat, span)
+    basis_flat = np.concatenate([idflat, rest], axis=0)
     n = basis_flat.shape[0]
-    basis_maps = [map_from_flat(M, M, basis_flat[i]) for i in range(n)]
+    basis_maps = [to_map(basis_flat[i]) for i in range(n)]
     coords = linalg.Coords(F, basis_flat)
     mult = F.zeros((n, n, n))
     for i in range(n):
         prods = np.stack(
-            [basis_maps[i].compose(basis_maps[j]).flat() for j in range(n)]
+            [flat_of(basis_maps[i].compose(basis_maps[j])) for j in range(n)]
         )
         block = coords.of(prods)
         if block is None:
@@ -756,11 +758,23 @@ def end_algebra(M):
     return E, basis_maps
 
 
-def endo_from_element(M, basis_maps, x):
-    F = M.field
-    out = zero_map(M, M)
+def end_algebra(M):
+    """(Algebra E, list of ModuleMaps matching its basis).
+
+    One idempotent class; the identity endomorphism is basis element 0.
+    """
+    return algebra_of_maps(
+        M.field, identity_map(M), hom_space(M, M)[1],
+        lambda v: map_from_flat(M, M, v), ModuleMap.flat,
+    )
+
+
+def combination(maps, x):
+    """sum of x[i] * maps[i] over the nonzero x[i], for module maps or
+    chain maps; maps[0] scaled by 0 when every x[i] is 0."""
+    out = maps[0].scale(0)
     for i in np.flatnonzero(np.asarray(x) != 0):
-        out = out.add(basis_maps[int(i)].scale(x[int(i)]))
+        out = out.add(maps[int(i)].scale(x[int(i)]))
     return out
 
 
@@ -779,8 +793,7 @@ def decompose_module(M, rng=None):
     for g in groups:
         triple_group = []
         for e in g:
-            emap = endo_from_element(M, basis_maps, e)
-            S, incl, proj = _split_off(M, emap)
+            S, incl, proj = _split_off(M, combination(basis_maps, e))
             triple_group.append((S, incl, proj))
         out.append(triple_group)
     return out
@@ -937,30 +950,30 @@ def ar_sequence(X):
     # resolution, then precompose cocycles with the lift at P1
     E, basis_maps = end_algebra(X)
     radE = E.radical()
-    P1, P0 = ext.psums[1], ext.psums[0]
+    P1 = ext.psums[1]
     d1 = ext.dmaps[0]
     cover = ext.cover
     action_mats = []
     quot_basis = linalg.complement(F, ext.coboundaries, ext.cocycles)
+    # classes of cocycles over quot_basis, modulo the coboundaries
+    quot = linalg.Coords(
+        F, np.concatenate([ext.coboundaries, quot_basis], axis=0),
+        skip=ext.coboundaries.shape[0],
+    )
+    phis = [map_from_flat(P1.module, tX, q) for q in quot_basis]
     for r in range(radE.shape[0]):
-        f = endo_from_element(X, basis_maps, radE[r])
-        f0 = _lift_through(cover, cover.compose(f))
-        f1 = _lift_through(d1, d1.compose(f0))
-        rows = []
-        for i in range(quot_basis.shape[0]):
-            phi = map_from_flat(P1.module, tX, quot_basis[i])
-            moved = f1.compose(phi).flat()
-            rows.append(
-                linalg.quotient_coords(
-                    F, ext.coboundaries, quot_basis, moved
-                )
-            )
-        action_mats.append(np.stack(rows, axis=0) if rows else
-                           F.zeros((0, 0)))
-    if quot_basis.shape[0] == 0:
-        raise RuntimeError("empty Ext quotient")
+        f = combination(basis_maps, radE[r])
+        # lift f through the resolution: f0 on P0, then f1 on P1
+        f0 = factor_through(cover.compose(f), cover)
+        f1 = None if f0 is None else factor_through(d1.compose(f0), d1)
+        if f1 is None:
+            raise RuntimeError("lift through surjection failed")
+        moved = quot.of(np.stack([f1.compose(phi).flat() for phi in phis]))
+        if moved is None:
+            raise ValueError("vector not in the spanned space")
+        action_mats.append(moved)
     if action_mats:
-        stacked = np.concatenate([m for m in action_mats], axis=1)
+        stacked = np.concatenate(action_mats, axis=1)
         soc = linalg.kernel(F, stacked.T)
     else:
         soc = F.eye(quot_basis.shape[0])
@@ -970,29 +983,6 @@ def ar_sequence(X):
     cocycle = F.reduce(np.einsum("i,ij->j", coeffs, quot_basis))
     Emid, f, g = extension_sequence(X, tX, ext, cocycle)
     return tX, Emid, X, f, g
-
-
-def _lift_through(surj, target):
-    """Module map h with h . surj = target (source of target is projective).
-
-    Solved inside the hom space so the lift is an actual module map, not
-    just a per-class linear solution.
-    """
-    F = surj.field
-    maps, _ = hom_space(target.src, surj.src)
-    flats = [m.compose(surj).flat() for m in maps]
-    if not flats:
-        if target.is_zero():
-            return zero_map(target.src, surj.src)
-        raise RuntimeError("lift through surjection failed")
-    basis = np.stack(flats, axis=0)
-    co = linalg.coords_in_basis(F, basis, target.flat())
-    if co is None:
-        raise RuntimeError("lift through surjection failed")
-    out = zero_map(target.src, surj.src)
-    for c, m in zip(co, maps):
-        out = out.add(m.scale(c))
-    return out
 
 
 def sequence_is_exact(N, E, M, f, g):
@@ -1009,38 +999,34 @@ def is_almost_split(N, E, M, f, g, test_modules):
     Z -> M from the supplied battery factors through g."""
     if not sequence_is_exact(N, E, M, f, g):
         return False
-    # the sequence splits iff g has a section
-    if _is_retraction_target(g, M):
+    # the sequence splits iff g has a section s, id_M = s . g
+    idM = identity_map(M)
+    if factor_through(idM, g) is not None:
         return False
     if not (is_indecomposable(N) and is_indecomposable(M)):
         return False
     for Z in test_modules:
         maps, _ = hom_space(Z, M)
         for h in maps:
-            if _is_retraction_target(h, M):
+            if factor_through(idM, h) is not None:
                 continue
-            if not _factors_through(h, g):
+            if factor_through(h, g) is None:
                 return False
     return True
 
 
-def _is_retraction_target(h, M):
-    """Does some s: M -> Z satisfy s . h = id_M?  (h: Z -> M)"""
-    maps, _ = hom_space(M, h.src)
-    F = M.field
-    flats = [s.compose(h).flat() for s in maps]
-    if not flats:
-        return M.total == 0
-    basis = np.stack(flats, axis=0)
-    return linalg.in_span(F, basis, identity_map(M).flat())
+def factor_through(h, g):
+    """Module map u: src(h) -> src(g) with h = u . g, or None.
 
-
-def _factors_through(h, g):
-    """Does h = u . g for some u: src(h) -> src(g)?"""
-    maps, _ = hom_space(h.src, g.src)
+    Solved inside Hom(src h, src g), so u is a module map and not just a
+    per-class linear solution.
+    """
     F = h.field
-    flats = [u.compose(g).flat() for u in maps]
-    if not flats:
-        return h.is_zero()
-    basis = np.stack(flats, axis=0)
-    return linalg.in_span(F, basis, h.flat())
+    maps, flat = hom_space(h.src, g.src)
+    if not maps:
+        return zero_map(h.src, g.src) if h.is_zero() else None
+    basis = np.stack([u.compose(g).flat() for u in maps], axis=0)
+    co = linalg.coords_in_basis(F, basis, h.flat())
+    if co is None:
+        return None
+    return map_from_flat(h.src, g.src, F.matmul(co.reshape(1, -1), flat)[0])

@@ -206,11 +206,7 @@ class EndP:
                     others = linalg.complement(
                         F, linalg.sum_spaces(F, hs.htpy, idf), hs.chain_basis
                     )
-                    rows = (
-                        np.concatenate([idf, others], axis=0)
-                        if others.shape[0]
-                        else idf
-                    )
+                    rows = np.concatenate([idf, others], axis=0)
                     if rows.shape[0] != hs.dim:
                         raise RuntimeError(
                             "identity class degenerate on a summand"
@@ -231,36 +227,44 @@ class EndP:
                 corner_index[(i, j)] = idxs
         dim = len(labels)
         mult = F.zeros((dim, dim, dim))
-        for x in range(dim):
-            i, j = src[x], tgt[x]
-            for y in range(dim):
-                if src[y] != j:
+        # product x . y of x in corner (i, j) and y in corner (j, l) is
+        # the chain map reps[y] then reps[x], a class in corner (i, l)
+        for (i, l), hs in corners.items():
+            ks = corner_index[(i, l)]
+            if not ks:
+                continue
+            quot = linalg.Coords(
+                F, np.concatenate([hs.htpy, corner_rows[(i, l)]], axis=0),
+                skip=hs.htpy.shape[0],
+            )
+            for j in range(n):
+                ys = corner_index[(j, l)]
+                if not ys:
                     continue
-                l = tgt[y]
-                hs = corners[(i, l)]
-                comp = reps[y].compose(reps[x])
-                co = linalg.quotient_coords(
-                    F, hs.htpy, corner_rows[(i, l)], hs.flat_of(comp)
-                )
-                for pos, k in enumerate(corner_index[(i, l)]):
-                    mult[x, y, k] = co[pos]
+                for x in corner_index[(i, j)]:
+                    co = quot.of(np.stack(
+                        [hs.flat_of(reps[y].compose(reps[x])) for y in ys]
+                    ))
+                    if co is None:
+                        raise ValueError("vector not in the spanned space")
+                    mult[x][np.ix_(ys, ks)] = co
         B = alg_mod.Algebra(F, labels, src, tgt, mult, idem, n)
         if not B.check_associative() or not B.check_idempotents():
             raise RuntimeError("endomorphism algebra axioms failed")
         self.B = B
         self.reps = reps
+        self._corners = corners
+        self._corner_rows = corner_rows
         self._corner_index = corner_index
 
     def corner_rep(self, vec, i, j):
         """Chain map mq[j] -> mq[i] for the (i, j)-corner part of a
         B-vector, or None when that part is zero."""
-        out = None
-        for k in self._corner_index[(i, j)]:
-            if vec[k] == 0:
-                continue
-            piece = self.reps[k].scale(vec[k])
-            out = piece if out is None else out.add(piece)
-        return out
+        x = vec[self._corner_index[(i, j)]]
+        if not np.any(x != 0):
+            return None
+        flat = self.field.matmul(x.reshape(1, -1), self._corner_rows[(i, j)])
+        return self._corners[(i, j)].map_from_flat(flat[0])
 
 
 def minimal_approximation(endp, X, side):
@@ -281,7 +285,7 @@ def minimal_approximation(endp, X, side):
     for i in range(endp.n):
         if V[i].dim == 0:
             continue
-        rows = []
+        blocks = []
         for r in range(radB.shape[0]):
             for j in range(endp.n):
                 if left:
@@ -290,21 +294,16 @@ def minimal_approximation(endp, X, side):
                     rep = endp.corner_rep(radB[r], j, i)
                 if rep is None:
                     continue
-                for t in range(V[j].dim):
-                    phi = V[j].class_map(t)
-                    comp = phi.compose(rep) if left else rep.compose(phi)
-                    rows.append(V[i].coords(comp))
+                fn = (lambda phi: phi.compose(rep)) if left else rep.compose
+                blocks.append(V[j].induced(fn, V[i]))
         radimg = (
-            linalg.row_space(F, np.stack(rows, axis=0))
-            if rows
+            linalg.row_space(F, np.concatenate(blocks, axis=0))
+            if blocks
             else F.zeros((0, V[i].dim))
         )
         for row in linalg.complement(F, radimg, F.eye(V[i].dim)):
-            m = None
-            for t in np.flatnonzero(row != 0):
-                piece = V[i].class_map(int(t)).scale(row[int(t)])
-                m = piece if m is None else m.add(piece)
-            gens.append((i, m))
+            flat = F.matmul(row.reshape(1, -1), V[i].class_basis)[0]
+            gens.append((i, V[i].map_from_flat(flat)))
     return gens
 
 
@@ -499,22 +498,14 @@ class SiltingContext:
             if V.nflat == 0:
                 continue
             W = cx.HomSpace(u.tgt, T) if left else cx.HomSpace(T, u.src)
-            rows = []
+            rows = [V.htpy]
             for r in range(W.chain_basis.shape[0]):
                 psi = W.map_from_flat(W.chain_basis[r])
                 comp = u.compose(psi) if left else psi.compose(u)
-                rows.append(V.flat_of(comp))
-            span = (
-                linalg.row_space(F, np.stack(rows, axis=0))
-                if rows
-                else F.zeros((0, V.nflat))
-            )
-            span = linalg.sum_spaces(F, span, V.htpy)
-            for r in range(V.chain_basis.shape[0]):
-                if not linalg.in_span(F, span, V.chain_basis[r]):
-                    raise RuntimeError(
-                        "%s approximation property failed" % side
-                    )
+                rows.append(V.flat_of(comp).reshape(1, -1))
+            span = np.concatenate(rows, axis=0)
+            if linalg.solve_matrix(F, span.T, V.chain_basis.T) is None:
+                raise RuntimeError("%s approximation property failed" % side)
 
     # -- the induced complex Q over B ---------------------------------------
 
@@ -571,21 +562,18 @@ class SiltingContext:
         F = self.field
         hsAP = cx.HomSpace(self.mcA, self.mcPp)
         hsEnd = cx.HomSpace(self.mcPp, self.mcPp)
-        erows = []
-        for r in range(hsEnd.chain_basis.shape[0]):
-            bmap = hsEnd.map_from_flat(hsEnd.chain_basis[r])
-            erows.append(hsAP.flat_of(self.e.compose(bmap)))
+        # e . b for each chain endomorphism b of P', then the homotopies
+        ebasis = np.concatenate([
+            hsAP.flat_of(self.e.compose(hsEnd.map_from_flat(v))).reshape(1, -1)
+            for v in hsEnd.chain_basis
+        ] + [hsAP.htpy], axis=0)
         self.EndQ = cx.HomSpace(self.Q_mod, self.Q_mod)
-        self.phi_chain = []
-        Vrows = []
-        for a_idx in range(A.dim):
-            psi = self._phi_of(A.basis_vec(a_idx), hsAP, hsEnd, erows)
-            self.phi_chain.append(psi)
-            Vrows.append(self.EndQ.coords(psi))
-        self.phi_matrix = (
-            np.stack(Vrows, axis=0)
-            if Vrows
-            else F.zeros((0, self.EndQ.dim))
+        self.phi_chain = [
+            self._phi_of(A.basis_vec(a_idx), hsAP, hsEnd, ebasis)
+            for a_idx in range(A.dim)
+        ]
+        self.phi_matrix = self.EndQ.coords_of(
+            np.stack([self.EndQ.flat_of(psi) for psi in self.phi_chain])
         )
         if linalg.rank(F, self.phi_matrix) != self.EndQ.dim:
             raise RuntimeError("induced algebra map is not surjective")
@@ -599,34 +587,19 @@ class SiltingContext:
         if (ker1.shape[0] == 0) != self.tilting:
             raise RuntimeError("kernel vanishing contradicts tilting test")
 
-    def _phi_of(self, avec, hsAP, hsEnd, erows):
+    def _phi_of(self, avec, hsAP, hsEnd, ebasis):
         F = self.field
         neg = cx.neg_one(F)
         lam = self.left_mult_map(avec)
         chain_a = cx.ChainMap(self.mcA, self.mcA, {0: lam})
         target = chain_a.compose(self.e)
         if hsAP.nflat > 0:
-            if erows:
-                basis = np.stack(erows, axis=0)
-            else:
-                basis = F.zeros((0, hsAP.nflat))
-            if hsAP.htpy.shape[0]:
-                basis = (
-                    np.concatenate([basis, hsAP.htpy], axis=0)
-                    if basis.shape[0]
-                    else hsAP.htpy
-                )
-            tflat = hsAP.flat_of(target)
-            if basis.shape[0]:
-                co = linalg.coords_in_basis(F, basis, tflat)
-            else:
-                co = None if np.any(tflat != 0) else F.zeros((0,))
+            co = linalg.coords_in_basis(F, ebasis, hsAP.flat_of(target))
             if co is None:
                 raise RuntimeError("no chain solution for the induced endo")
-            bflat = F.zeros((hsEnd.nflat,))
-            for r in range(len(erows)):
-                bflat = F.reduce(bflat + co[r] * hsEnd.chain_basis[r])
-            b = hsEnd.map_from_flat(bflat)
+            ne = hsEnd.chain_basis.shape[0]
+            bflat = F.matmul(co[:ne].reshape(1, -1), hsEnd.chain_basis)
+            b = hsEnd.map_from_flat(bflat[0])
             diff = target.add(self.e.compose(b).scale(neg))
             hdict = cx.find_homotopy(hsAP, diff)
             if hdict is None:
@@ -714,22 +687,18 @@ class HomPModule:
     def __init__(self, ctx, Ymc, shift):
         self.ctx = ctx
         self.shift = shift
-        F = ctx.field
         self.Ysh = Ymc.shift(shift) if shift else Ymc
         self.spaces = [
             cx.HomSpace(ctx.mq[i], self.Ysh) for i in range(ctx.n)
         ]
-        dims = [sp.dim for sp in self.spaces]
-        act = []
         B = ctx.B
-        for b in range(B.dim):
-            i, j = int(B.src[b]), int(B.tgt[b])
-            m = F.zeros((dims[i], dims[j]))
-            for r in range(dims[i]):
-                comp = ctx.reps[b].compose(self.spaces[i].class_map(r))
-                m[r] = self.spaces[j].coords(comp)
-            act.append(m)
-        self.module = mod.Module(B, dims, act)
+        act = [
+            self.spaces[int(B.src[b])].induced(
+                ctx.reps[b].compose, self.spaces[int(B.tgt[b])]
+            )
+            for b in range(B.dim)
+        ]
+        self.module = mod.Module(B, [sp.dim for sp in self.spaces], act)
         if not self.module.check():
             raise RuntimeError("Hom(P, -) image violates module axioms")
 
@@ -739,14 +708,11 @@ def hom_P_map(ctx, src_h, tgt_h, alpha):
 
     alpha is a chain map src_h.Ysh -> tgt_h.Ysh (already shifted).
     """
-    F = ctx.field
-    mats = []
-    for i in range(ctx.n):
-        m = F.zeros((src_h.module.dims[i], tgt_h.module.dims[i]))
-        for r in range(src_h.module.dims[i]):
-            comp = src_h.spaces[i].class_map(r).compose(alpha)
-            m[r] = tgt_h.spaces[i].coords(comp)
-        mats.append(m)
+    mats = [
+        src_h.spaces[i].induced(lambda phi: phi.compose(alpha),
+                                tgt_h.spaces[i])
+        for i in range(ctx.n)
+    ]
     return mod.ModuleMap(src_h.module, tgt_h.module, mats)
 
 
@@ -770,35 +736,36 @@ class QHomModule:
         F = ctx.field
         self.Nsh = cx.stalk_complex(N).shift(shift)
         self.V = cx.HomSpace(ctx.Q_mod, self.Nsh)
-        nv = self.V.dim
-        self.ops = []
-        for a_idx in range(A.dim):
-            m = F.zeros((nv, nv))
-            for r in range(nv):
-                comp = ctx.phi_chain[a_idx].compose(self.V.class_map(r))
-                m[r] = self.V.coords(comp)
-            self.ops.append(m)
-        pieces = []
-        for c in range(A.nclasses):
-            pieces.append(linalg.row_space(F, self.ops[A.idem[c]]))
-        dims = [p.shape[0] for p in pieces]
-        if sum(dims) != nv:
+        self.ops = [
+            self.V.induced(psi.compose, self.V) for psi in ctx.phi_chain
+        ]
+        self.pieces = [
+            linalg.row_space(F, self.ops[A.idem[c]]) for c in range(A.nclasses)
+        ]
+        dims = [p.shape[0] for p in self.pieces]
+        if sum(dims) != self.V.dim:
             raise RuntimeError("idempotent grading does not fill the space")
-        act = []
-        for b in range(A.dim):
-            s, t = int(A.src[b]), int(A.tgt[b])
-            m = F.zeros((dims[s], dims[t]))
-            for r in range(dims[s]):
-                w = F.reduce(pieces[s][r] @ self.ops[b])
-                co = linalg.coords_in_basis(F, pieces[t], w)
-                if co is None:
-                    raise RuntimeError("graded action left its piece")
-                m[r] = co
-            act.append(m)
-        self.pieces = pieces
+        # each graded piece is factored once, for the action and for maps
+        self._piece_coords = [linalg.Coords(F, p) for p in self.pieces]
+        act = [
+            self.piece_rows(
+                int(A.tgt[b]),
+                F.matmul(self.pieces[int(A.src[b])], self.ops[b]),
+                "graded action left its piece",
+            )
+            for b in range(A.dim)
+        ]
         self.module = mod.Module(A, dims, act)
         if not self.module.check():
             raise RuntimeError("Hom(Q, -) pullback violates module axioms")
+
+    def piece_rows(self, c, vs, what):
+        """Coordinates over pieces[c] of the rows vs, which must lie in
+        that piece; RuntimeError(what) otherwise."""
+        x = self._piece_coords[c].of(vs)
+        if x is None:
+            raise RuntimeError(what)
+        return x
 
 
 def q_hom_map(ctx, src_q, tgt_q, w):
@@ -808,21 +775,14 @@ def q_hom_map(ctx, src_q, tgt_q, w):
     F = ctx.field
     d = -src_q.shift
     alpha = cx.ChainMap(src_q.Nsh, tgt_q.Nsh, {d: w})
-    raw = F.zeros((src_q.V.dim, tgt_q.V.dim))
-    for r in range(src_q.V.dim):
-        comp = src_q.V.class_map(r).compose(alpha)
-        raw[r] = tgt_q.V.coords(comp)
-    mats = []
-    for c in range(ctx.A.nclasses):
-        src_p = src_q.pieces[c]
-        m = F.zeros((src_p.shape[0], tgt_q.pieces[c].shape[0]))
-        for r in range(src_p.shape[0]):
-            w_row = F.reduce(src_p[r] @ raw)
-            co = linalg.coords_in_basis(F, tgt_q.pieces[c], w_row)
-            if co is None:
-                raise RuntimeError("induced map is not grading-compatible")
-            m[r] = co
-        mats.append(m)
+    raw = src_q.V.induced(lambda phi: phi.compose(alpha), tgt_q.V)
+    mats = [
+        tgt_q.piece_rows(
+            c, F.matmul(src_q.pieces[c], raw),
+            "induced map is not grading-compatible",
+        )
+        for c in range(ctx.A.nclasses)
+    ]
     out = mod.ModuleMap(src_q.module, tgt_q.module, mats)
     if not out.check():
         raise RuntimeError("induced map is not an A-module map")

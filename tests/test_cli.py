@@ -162,6 +162,20 @@ def test_non_presilting_complex_is_refused_with_its_witness(tmp_path, capsys):
         )
 
 
+@pytest.mark.parametrize("flag", ["--battery-cap", "--battery-max-dim"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_battery_bound_below_one_is_refused(flag, value, capsys):
+    # an empty battery passes every battery check vacuously
+    rc = cli.main([
+        "theorem", fixture("a3_silt.alg"), fixture("a3_silt.cpx"),
+        flag, value,
+    ])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "%s: must be at least 1, got %s" % (flag, value) in captured.err
+
+
 def test_presilting_with_too_few_classes_is_refused(tmp_path, capsys):
     # the stalk P1 over A2 is presilting with one summand class of two
     stalk = tmp_path / "p1.cpx"

@@ -56,7 +56,8 @@ def test_quotient_dimension_f5():
     comp = linalg.complement(F5, sub, F5.eye(3))
     assert comp.shape[0] == 2
     v = F5.array([0, 1, 2])
-    c = linalg.quotient_coords(F5, sub, comp, v)
+    quot = linalg.Coords(F5, np.concatenate([sub, comp], axis=0), skip=1)
+    c = quot.of(v.reshape(1, -1))[0]
     # reconstruct v modulo sub
     recon = F5.reduce(np.einsum("i,ij->j", c, comp))
     assert linalg.in_span(F5, sub, F5.reduce(v - recon))

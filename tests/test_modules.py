@@ -398,6 +398,23 @@ def test_resolution_is_built_once_and_cut(paper_algebra):
 # ---- quotient_module against the per-row quotient_coords version ----------
 
 
+def ref_quotient_coords(F, sub, total_basis, v):
+    """The engine's earlier per-vector quotient coordinates, two RREFs a
+    vector: coordinates of v in span(total_basis) modulo span(sub), over
+    the total_basis rows."""
+    sub = linalg.row_space(F, sub)
+    if total_basis.shape[0] == 0:
+        return F.zeros((0,))
+    stacked = (
+        np.concatenate([sub, total_basis], axis=0) if sub.shape[0]
+        else total_basis
+    )
+    c = linalg.coords_in_basis(F, stacked, v)
+    if c is None:
+        raise ValueError("vector not in the spanned space")
+    return c[sub.shape[0]:]
+
+
 def _ref_quotient_module(M, sub_vectors):
     F = M.field
     vecs = modules.close_under_action(M, sub_vectors) if len(sub_vectors) \
@@ -412,14 +429,14 @@ def _ref_quotient_module(M, sub_vectors):
         img = F.matmul(comps[s], M.act[b])
         m = F.zeros((dims[s], dims[t]))
         for i in range(dims[s]):
-            m[i] = linalg.quotient_coords(F, pieces[t], comps[t], img[i])
+            m[i] = ref_quotient_coords(F, pieces[t], comps[t], img[i])
         act.append(m)
     pmats = []
     for c in range(M.A.nclasses):
         pm = F.zeros((M.dims[c], dims[c]))
         for i in range(M.dims[c]):
-            pm[i] = linalg.quotient_coords(F, pieces[c], comps[c],
-                                           F.eye(M.dims[c])[i])
+            pm[i] = ref_quotient_coords(F, pieces[c], comps[c],
+                                        F.eye(M.dims[c])[i])
         pmats.append(pm)
     return dims, act, pmats
 

@@ -6,7 +6,9 @@ over GF(32003)), whose battery and `ar` reach Ext on more than three
 vertices, and whose `theorem` checks the comparison theorem on four
 vertices.  Its algebra file is written from the ladder recipe at run time;
 its complex, tests/golden/linear_a4.cpx, is `silt complete` of the seed
-complex P2 --x1--> P1.  After a deliberate report change, rewrite them with
+complex P2 --x1--> P1.  They also cover the battery of linear A5
+(tests/golden/linear_a5.alg), the largest battery a case closes.  After a
+deliberate report change, rewrite them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -16,8 +18,9 @@ rational-theorem CI job compares against it under a time limit.  Neither
 is tests/golden/linear_a5-theorem.json, the JSON report of `theorem` on
 linear A5 (tests/golden/linear_a5.alg, with linear_a5.cpx the `silt
 complete` of P2 --x1--> P1); the linear-a5-theorem CI job compares against
-it under a time limit.  Nor is tests/golden/linear_a6-theorem.json, the
-same report on linear A6 (linear_a6.alg, linear_a6.cpx), which the
+it under a time limit.  Nor are tests/golden/linear_a6-theorem.json, the
+same report on linear A6 (linear_a6.alg, linear_a6.cpx), and
+tests/golden/linear_a6-ar.txt, the text report of `ar` on it, which the
 linear-a6-theorem CI job compares against under a time limit.
 """
 
@@ -82,6 +85,9 @@ def _cases():
     out.append(("linear_a4-ar.txt", ["ar", LINEAR_A4, cpx]))
     out.append(("linear_a4-theorem.json",
                 ["theorem", LINEAR_A4, cpx, "--report", "json"]))
+    out.append(("linear_a5-battery.json",
+                ["battery", os.path.join(GOLDEN, "linear_a5.alg"),
+                 "--report", "json"]))
     return out
 
 

@@ -439,7 +439,7 @@ def split_by_min_poly(F, x, op_matrix, unit, mult_fn):
         return None
     f, g = split
     d = sympy.gcdex(f, g)
-    u_poly, v_poly, gc = d
+    _, v_poly, gc = d
     if not gc.is_one:
         return None
     # idempotent = (v*g)(x): acts as 1 on ker f(x)^inf, 0 on the rest
@@ -494,7 +494,7 @@ def build_algebra(field, quiver, relations, nilpotency_bound):
                 if ptgt != rel.src:
                     continue
                 for ql in range(b - pl - maxlen + 1):
-                    for qsrc, qtgt, qq in layers[ql]:
+                    for qsrc, _, qq in layers[ql]:
                         if qsrc != rel.tgt:
                             continue
                         vec = field.zeros((nmon,))
@@ -550,7 +550,7 @@ def build_algebra(field, quiver, relations, nilpotency_bound):
 
     mult = field.zeros((dim, dim, dim))
     for i, (si, ti, pi) in enumerate(basis_mons):
-        for j, (sj, tj, pj) in enumerate(basis_mons):
+        for j, (sj, _, pj) in enumerate(basis_mons):
             if ti != sj:
                 continue
             full = pi + pj

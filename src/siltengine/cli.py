@@ -437,7 +437,7 @@ def _verdict(name, yes, witness):
 
 
 def cmd_complete(args):
-    A, P = _load(args)
+    _, P = _load(args)
     Q = silting.bongartz_complete(P)
     text = emit_complex(Q, _fixture_id(args.complex) + "_completed")
     sys.stdout.write(text)

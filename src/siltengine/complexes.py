@@ -90,9 +90,12 @@ class ModuleComplex:
 
 
 def zero_module(A):
-    return mod.Module(
-        A, [0] * A.nclasses, [A.field.zeros((0, 0)) for _ in range(A.dim)]
-    )
+    """The zero module over A, built once and kept on A."""
+    if getattr(A, "_zero_cache", None) is None:
+        A._zero_cache = mod.Module(
+            A, [0] * A.nclasses, [A.field.zeros((0, 0)) for _ in range(A.dim)]
+        )
+    return A._zero_cache
 
 
 def stalk_complex(M, degree=0):
@@ -238,7 +241,7 @@ class HomSpace:
         for d in sorted(set(X.terms)):
             if (d - 1) not in Y.terms:
                 continue
-            smaps, sflat = mod.hom_space(X.term(d), Y.term(d - 1))
+            _, sflat = mod.hom_space(X.term(d), Y.term(d - 1))
             for r in range(sflat.shape[0]):
                 s = mod.map_from_flat(X.term(d), Y.term(d - 1), sflat[r])
                 out = {}
@@ -359,8 +362,8 @@ def mapping_cone(f):
     for d in degs:
         if (d + 1) not in terms:
             continue
-        S0, incls0, projs0 = sums[d]
-        S1, incls1, projs1 = sums[d + 1]
+        S0, _, projs0 = sums[d]
+        S1, incls1, _ = sums[d + 1]
         m = mod.zero_map(S0, S1)
         # Y block: -d_Y
         m = m.add(
@@ -660,8 +663,8 @@ def decompose_complex(X, rng=None):
     Xm = minimize(X)
     if not Xm.terms:
         return []
-    mc, psums = Xm.module_form()
-    E, basis_maps, hs = chain_end_algebra(mc)
+    mc, _ = Xm.module_form()
+    E, basis_maps, _ = chain_end_algebra(mc)
     groups = E.decompose_identity(rng)
     out = []
     for g in groups:
@@ -778,8 +781,8 @@ def nu_complex(X):
     dmaps = {}
     for d in X.diffs:
         e = X.diff(d)
-        injs0, incls0, projs0, cls0 = metas[d]
-        injs1, incls1, projs1, cls1 = metas[d + 1]
+        _, _, projs0, cls0 = metas[d]
+        _, incls1, _, cls1 = metas[d + 1]
         m = mod.zero_map(terms[d], terms[d + 1])
         for j in range(e.shape[0]):
             for k in range(e.shape[1]):
@@ -797,8 +800,6 @@ def _nu_of_entry(A, Aop, a, cj, ck):
     Induced map D(A e_{cj}) -> D(A e_{ck}): the dual of right
     multiplication by a on the opposite projectives.
     """
-    Pj_op = mod.projective_module(Aop, cj)
-    Pk_op = mod.projective_module(Aop, ck)
     # in the opposite algebra, a in e_{ck} A e_{cj} = e_{cj}^op A^op e_{ck}^op
     ps_j = mod.ProjSum(Aop, [cj])
     ps_k = mod.ProjSum(Aop, [ck])

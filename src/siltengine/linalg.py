@@ -201,7 +201,7 @@ def row_space(F, a):
 
 def kernel(F, a):
     """Basis (as rows) of the right null space {x : a @ x = 0}."""
-    nrows, ncols = a.shape
+    ncols = a.shape[1]
     if ncols == 0:
         return F.zeros((0, 0))
     r, pivots = rref(F, a)

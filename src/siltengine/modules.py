@@ -13,7 +13,9 @@ deterministic function of M (it draws no random numbers), and each step
 depends only on the one before it, so a prefix of a longer resolution is
 exactly the shorter resolution built from scratch: memoising it cannot
 change any output.  `min_presentation` (hence `tau` and `tau_inverse`)
-and `ext_space` read from the same resolution.
+and `ext_space` read from the same resolution.  `tau(M)` and
+`tau_inverse(M)` are deterministic too, and each is built once and kept
+on M.
 
 A map out of a sum of projectives e_{c_1} A + ... + e_{c_n} A is a free
 choice of generator images, generator k going into N e_{c_k}, so
@@ -38,6 +40,8 @@ class Module:
         self.total = sum(self.dims)
         self.offsets = np.concatenate([[0], np.cumsum(self.dims)])
         self._resolution = None  # see min_resolution
+        self._tau = None  # see tau
+        self._tau_inverse = None  # see tau_inverse
 
     def piece(self, v, c):
         """Class-c block of a total-coordinate row vector (or matrix)."""
@@ -267,7 +271,7 @@ def _submodule_of_regular(A, pos):
         for i, b in enumerate(pos[s]):
             prod = A.mult[b, y]
             for k in np.flatnonzero(prod != 0):
-                c2, i2 = index[int(k)]
+                _, i2 = index[int(k)]
                 m[i, i2] = prod[k]
         act.append(m)
     mod = Module(A, dims, act)
@@ -339,7 +343,6 @@ def direct_sum(mods):
     act = []
     for b in range(A.dim):
         s, t = int(A.src[b]), int(A.tgt[b])
-        blocks = [m.act[b] for m in mods]
         big = F.zeros((dims[s], dims[t]))
         rs = 0
         cs = 0
@@ -711,18 +714,21 @@ def transpose_module(M):
     Q1 = ProjSum(Aop, P1.classes)
     # Hom(-, A) transposes the entry matrix; elements keep their coordinates
     dt = Q0.map_from_entries(Q1, entries.transpose(1, 0, 2))
-    coker, proj = quotient_module(Q1.module, image_vectors(dt))
-    return coker
+    return quotient_module(Q1.module, image_vectors(dt))[0]
 
 
 def tau(M):
-    """Auslander-Reiten translate D Tr (zero on projectives)."""
-    return dual_module(transpose_module(M))
+    """Auslander-Reiten translate D Tr (zero on projectives), kept on M."""
+    if M._tau is None:
+        M._tau = dual_module(transpose_module(M))
+    return M._tau
 
 
 def tau_inverse(M):
-    """Tr D (zero on injectives)."""
-    return transpose_module(dual_module(M))
+    """Tr D (zero on injectives), kept on M."""
+    if M._tau_inverse is None:
+        M._tau_inverse = transpose_module(dual_module(M))
+    return M._tau_inverse
 
 
 # ---- endomorphisms and decomposition ------------------------------------
@@ -875,14 +881,14 @@ def ext_space(M, N, degree):
     for i, d in enumerate(dmaps):
         # delta_i : Hom(P_i, N) -> Hom(P_{i+1}, N), phi -> d_{i+1} . phi
         src_maps, src_flat = homs[i]
-        tgt_maps, tgt_flat = homs[i + 1]
+        tgt_flat = homs[i + 1][1]
         rows = []
         for f in src_maps:
             rows.append(d.compose(f).flat())
         if rows:
             mat = np.stack(rows, axis=0)
         else:
-            mat = F.zeros((0, homs[i + 1][1].shape[1] if tgt_flat.size else 0))
+            mat = F.zeros((0, tgt_flat.shape[1] if tgt_flat.size else 0))
         deltas.append(mat)
     # cocycles at position `degree`: kernel of delta_degree within the image
     # coordinates of Hom(P_degree, N)

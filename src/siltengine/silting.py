@@ -468,7 +468,7 @@ class SiltingContext:
             for p, b in enumerate(self._reg_members[d]):
                 prod = A.el_mult(avec, A.basis_vec(b))
                 for k in np.flatnonzero(prod != 0):
-                    d2, p2 = self._reg_pos[int(k)]
+                    _, p2 = self._reg_pos[int(k)]
                     mats[d][p, p2] = prod[k]
         return mod.ModuleMap(M, M, mats)
 
@@ -528,7 +528,6 @@ class SiltingContext:
         )
 
     def _build_q(self):
-        F = self.field
         self.HBp = self.hom_P(self.mcPp, 0)
         self.HBc = self.hom_P(self.mcC, 0)
         terms = {}
@@ -879,9 +878,16 @@ def _copy_projection(incl):
 def module_battery(A, torsion=None, max_dim=30, cap=60, seed=0, rounds=8):
     """Deterministic list of indecomposables closed under standard moves.
 
-    Returns (modules, certified) where certified means the closure under
-    radical, socle-quotient, tau in both directions and all extensions
-    reached a fixpoint without dropping or capping anything.
+    Returns (modules, certified).  The closure is semi-naive: each round
+    applies radical, socle quotient, tau and tau inverse only to the modules
+    found since the last round, and takes Ext^1 extensions only for the
+    ordered pairs not yet tried, so each move is applied once per module and
+    each Ext pair once.  A move or pair already tried can only give back a
+    class the battery holds or one it dropped, so the modules and their
+    order are those of re-applying everything every round.  certified means
+    a round added nothing, and a last tau / tau inverse pass over the
+    modules that have not had them added nothing, without dropping or
+    capping anything.
     """
     rng = random.Random(seed)
     F = A.field
@@ -890,6 +896,11 @@ def module_battery(A, torsion=None, max_dim=30, cap=60, seed=0, rounds=8):
 
     def add(M):
         if M.total == 0:
+            return
+        # a module isomorphic to an item is indecomposable: nothing new
+        if any(
+            mod.modules_isomorphic(M, X, rng) is not None for X in items
+        ):
             return
         for grp in mod.decompose_module(M, rng):
             S = grp[0][0]
@@ -905,6 +916,10 @@ def module_battery(A, torsion=None, max_dim=30, cap=60, seed=0, rounds=8):
                 continue
             items.append(S)
 
+    def add_tau(M):
+        add(mod.tau(M))
+        add(mod.tau_inverse(M))
+
     for c in range(A.nclasses):
         add(mod.simple_module(A, c))
         add(mod.projective_module(A, c))
@@ -919,15 +934,20 @@ def module_battery(A, torsion=None, max_dim=30, cap=60, seed=0, rounds=8):
             tP, _, PtP, _ = torsion.canonical_sequence(P)
             add(tP)
             add(PtP)
+    unary_done = 0  # items[:unary_done] have had the four moves
+    ext_done = set()  # index pairs (i, j) whose Ext^1(items[i], items[j]) ran
     for _ in range(rounds):
         before = len(items)
-        for M in list(items):
+        for M in items[unary_done:before]:
             add(mod.submodule(M, mod.radical_vectors(M), closed=True)[0])
             add(mod.quotient_module(M, mod.socle_vectors(M))[0])
-            add(mod.tau(M))
-            add(mod.tau_inverse(M))
-        for M in list(items):
-            for N in list(items):
+            add_tau(M)
+        unary_done = before
+        for i, M in enumerate(list(items)):
+            for j, N in enumerate(list(items)):
+                if (i, j) in ext_done:
+                    continue
+                ext_done.add((i, j))
                 ext = mod.ext_space(M, N, 1)
                 if ext.dim == 0:
                     continue
@@ -939,11 +959,10 @@ def module_battery(A, torsion=None, max_dim=30, cap=60, seed=0, rounds=8):
             break
     else:
         state["dropped"] = True
-    # one more fixpoint confirmation pass
+    # fixpoint confirmation: tau and tau inverse of the modules without them
     before = len(items)
-    for M in list(items):
-        add(mod.tau(M))
-        add(mod.tau_inverse(M))
+    for M in items[unary_done:before]:
+        add_tau(M)
     certified = (len(items) == before) and not state["dropped"]
     order = sorted(
         range(len(items)),
@@ -1093,7 +1112,6 @@ def verify_theorem(ctx, battery=None, battery_b=None, max_dim=30, cap=60,
     """
     A = ctx.A
     B = ctx.B
-    F = ctx.field
     tpA = ctx.torsion_A
     tpB = ctx.torsion_B
     checks = []

@@ -65,6 +65,15 @@ def test_shift_round_trip(a2_algebra):
             assert np.array_equal(sh.dmaps[d].mats[c], mc.dmaps[d].mats[c])
 
 
+def test_missing_degree_term_is_one_zero_module(a2_algebra):
+    mc, _ = a2_two_term(a2_algebra).module_form()
+    Z = mc.term(5)
+    assert Z.total == 0
+    assert mc.term(5) is Z
+    assert mc.shift(1).term(-7) is Z
+    assert cx.zero_module(a2_algebra) is Z
+
+
 def test_mapping_cone_of_identity_contractible(a2_algebra):
     A = a2_algebra
     T = a2_two_term(A)

@@ -6,7 +6,9 @@ check, not a call graph: a dead method that shares its name with a live
 one elsewhere goes unnoticed.
 
 Every parameter of every function, method and lambda other than `self`
-is read somewhere in its body.
+is read somewhere in its body, and so is every local name it stores.  A
+stored name that is meant to go unread (an unpacking target) starts with
+an underscore.
 """
 
 import ast
@@ -72,25 +74,56 @@ def test_allowlist_names_exist():
     assert ALLOWED <= names
 
 
-def test_every_parameter_is_read():
-    unread = []
+def _functions():
+    """(file name, node) of every function, method and lambda."""
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for fn in ast.walk(tree):
-            if not isinstance(
+            if isinstance(
                 fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
             ):
-                continue
-            a = fn.args
-            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
-            params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
-            read = {
-                n.id for n in ast.walk(fn)
-                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-            }
-            name = getattr(fn, "name", "<lambda>")
-            unread += [
-                "%s:%d %s(%s)" % (path.name, fn.lineno, name, p)
-                for p in params if p != "self" and p not in read
-            ]
+                yield path.name, fn
+
+
+def _read_names(fn):
+    """Names loaded anywhere in fn, nested functions included."""
+    return {
+        n.id for n in ast.walk(fn)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for fname, fn in _functions():
+        a = fn.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+        read = _read_names(fn)
+        name = getattr(fn, "name", "<lambda>")
+        unread += [
+            "%s:%d %s(%s)" % (fname, fn.lineno, name, p)
+            for p in params if p != "self" and p not in read
+        ]
     assert unread == [], "parameters never read: %s" % ", ".join(unread)
+
+
+def test_every_local_is_read():
+    unread = []
+    for fname, fn in _functions():
+        read = _read_names(fn)
+        declared = set()
+        stored = {}
+        for n in ast.walk(fn):
+            if isinstance(n, (ast.Global, ast.Nonlocal)):
+                declared.update(n.names)
+            elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                stored.setdefault(n.id, n.lineno)
+        name = getattr(fn, "name", "<lambda>")
+        unread += [
+            "%s:%d %s(%s)" % (fname, lineno, name, local)
+            for local, lineno in sorted(stored.items(), key=lambda t: t[1])
+            if not local.startswith("_")
+            and local not in read and local not in declared
+        ]
+    assert unread == [], "locals never read: %s" % ", ".join(unread)

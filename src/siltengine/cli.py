@@ -499,7 +499,11 @@ def cmd_ar(args):
         checks.append(ar.connecting_sequence(ctx, i)[5])
     sp = ar.splitting_check(ctx, battery, cert)
     if sp["dims"].get("verdict") == "CERTIFIED-SPLITTING":
-        checks.extend(ar.split_ar_report(ctx, battery))
+        battery_b, _ = silting.module_battery(
+            ctx.B, ctx.torsion_B, args.battery_max_dim, args.battery_cap,
+            args.seed,
+        )
+        checks.extend(ar.split_ar_report(ctx, battery, battery_b))
     else:
         checks.append(sp)
     checks.append(ar.separating_check(ctx, battery, cert))

@@ -255,9 +255,9 @@ class HomSpace:
             htpy = linalg.row_space(F, self.htpy_images)
         else:
             self.htpy_images = htpy = F.zeros((0, nflat))
-        # homotopies that are chain maps (they all are, see below)
-        self.htpy = linalg.intersect_spaces(F, htpy, chain) if htpy.shape[0] \
-            else htpy
+        # every s . d_Y + d_X . s is a chain map, so the canonical basis of
+        # the homotopies already lies in the chain maps
+        self.htpy = htpy
         self.class_basis = linalg.complement(F, self.htpy, chain)
         self.dim = self.class_basis.shape[0]
 

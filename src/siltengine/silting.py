@@ -347,84 +347,30 @@ class SiltingContext:
 
     def _build_delta(self):
         A = self.A
-        F = self.field
         self.stalkA = cx.stalk_proj_complex(A, list(range(A.nclasses)))
         self.mcA, psA = self.stalkA.module_form()
         self.psA0 = psA[0]
-        self._index_regular()
-        sts = [
-            cx.stalk_proj_complex(A, [c]).module_form()[0]
-            for c in range(A.nclasses)
-        ]
-        gens = [
-            (c, i, m)
-            for c in range(A.nclasses)
-            for i, m in minimal_approximation(self.endo, sts[c], "left")
-        ]
-        parts = [self.summands[i] for (_, i, _) in gens]
-        if parts:
-            self.Pp = cx.proj_complex_direct_sum(parts)
-        else:
-            self.Pp = cx.ProjComplex(A, {}, {})
-        self.mcPp, psPp = self.Pp.module_form()
-        incls = _copy_inclusions(parts, self.Pp) if parts else []
-        emaps = {}
-        if parts:
-            m0 = mod.zero_map(self.mcA.term(0), self.mcPp.term(0))
-            for k, (c, i, gmap) in enumerate(gens):
-                m0 = m0.add(
-                    self.psA0.projs[c]
-                    .compose(gmap.map_at(0))
-                    .compose(incls[k].map_at(0))
-                )
-            emaps[0] = m0
-        self.e = cx.ChainMap(self.mcA, self.mcPp, emaps)
+        # a minimal left approximation of each P_c, read as maps out of A
+        # through the projection onto P_c
+        gens = []
+        for c in range(A.nclasses):
+            st = cx.stalk_proj_complex(A, [c]).module_form()[0]
+            pr = self.psA0.projs[c]
+            gens.extend(
+                (i, cx.ChainMap(self.mcA, m.tgt, {0: pr.compose(m.map_at(0))}))
+                for i, m in minimal_approximation(self.endo, st, "left")
+            )
+        self.Pp, self.e = _approximation_map(
+            self.mcA, self.summands, gens, "left"
+        )
+        self.mcPp = self.Pp.module_form()[0]
         if not self.e.check():
             raise RuntimeError("approximation map is not a chain map")
         self._assert_approximation(self.e, "left")
-        # cone of e with rows (P'^{-1} then A) mapping by (-p', e)
-        p1 = list(self.Pp.terms.get(-1, []))
-        p0 = list(self.Pp.terms.get(0, []))
-        acl = list(range(A.nclasses))
-        cone_terms = {-1: p1 + acl}
-        cone_diffs = {}
-        if p0:
-            cone_terms[0] = p0
-            entries = F.zeros((len(p1) + len(acl), len(p0), A.dim))
-            if p1:
-                entries[: len(p1)] = F.reduce(-self.Pp.diff(-1))
-            entries[len(p1) :] = self.psA0.entry_matrix_to(
-                psPp[0], self.e.map_at(0)
-            )
-            cone_diffs[-1] = entries
-        self.cone = cx.ProjComplex(A, cone_terms, cone_diffs)
-        if not self.cone.check():
-            raise RuntimeError("triangle cone fails d^2 = 0")
-        self.mcC, self.psC = self.cone.module_form()
-        self.p1_count = len(p1)
-        neg = cx.neg_one(F)
-        fmaps = {}
-        if p1:
-            m = mod.zero_map(self.mcPp.term(-1), self.mcC.term(-1))
-            for k in range(len(p1)):
-                m = m.add(psPp[-1].projs[k].compose(self.psC[-1].incls[k]))
-            fmaps[-1] = m.scale(neg)
-        if p0:
-            fmaps[0] = mod.ModuleMap(
-                self.mcPp.term(0),
-                self.mcC.term(0),
-                [F.eye(d) for d in self.mcPp.term(0).dims],
-            )
-        self.f = cx.ChainMap(self.mcPp, self.mcC, fmaps)
-        mcA1 = self.mcA.shift(1)
-        m = mod.zero_map(self.mcC.term(-1), mcA1.term(-1))
-        for c in range(A.nclasses):
-            m = m.add(
-                self.psC[-1].projs[len(p1) + c].compose(self.psA0.incls[c])
-            )
-        self.g = cx.ChainMap(self.mcC, mcA1, {-1: m.scale(neg)})
-        if not self.f.check() or not self.g.check():
-            raise RuntimeError("cone structure maps are not chain maps")
+        # cone of e; its degree -1 term lays out P'^{-1} then A, as _phi_of
+        # reads it
+        self.mcC, self.f, self.g = cx.mapping_cone(self.e)
+        self.cone = cx.proj_complex_from_module_complex(self.mcC)[0]
         if not cx.HomSpace(self.mcA, self.mcC).is_nullhomotopic(
             self.e.compose(self.f)
         ):
@@ -437,52 +383,22 @@ class SiltingContext:
                 raise RuntimeError("cone of the approximation leaves add P")
         self._assert_approximation(self.g, "right")
 
-    def _index_regular(self):
-        A = self.A
-        F = self.field
-        M = self.psA0.module
-        members = [[] for _ in range(A.nclasses)]
-        for k in range(A.nclasses):
-            Pk = self.psA0.summands[k]
-            for d in range(A.nclasses):
-                members[d].extend(Pk.basis_members[d])
-        pos_of = {}
-        for d in range(A.nclasses):
-            for p, b in enumerate(members[d]):
-                pos_of[b] = (d, p)
-        unit = F.zeros((M.total,))
-        for c in range(A.nclasses):
-            d, p = pos_of[A.idem[c]]
-            unit[M.offsets[d] + p] = 1
-        self._reg_members = members
-        self._reg_pos = pos_of
-        self._reg_unit = unit
-
     def left_mult_map(self, avec):
-        """Right-module endomorphism of A given by left multiplication."""
+        """Right-module endomorphism of A given by left multiplication:
+        generator e_j goes to a e_j, the sum of the e_k a e_j."""
         A = self.A
-        F = self.field
-        M = self.psA0.module
-        mats = [F.zeros((M.dims[d], M.dims[d])) for d in range(A.nclasses)]
-        for d in range(A.nclasses):
-            for p, b in enumerate(self._reg_members[d]):
-                prod = A.el_mult(avec, A.basis_vec(b))
-                for k in np.flatnonzero(prod != 0):
-                    _, p2 = self._reg_pos[int(k)]
-                    mats[d][p, p2] = prod[k]
-        return mod.ModuleMap(M, M, mats)
+        idem = [A.idem_vec(c) for c in range(A.nclasses)]
+        entries = np.stack([
+            np.stack([A.el_mult(A.el_mult(ek, avec), ej) for ek in idem])
+            for ej in idem
+        ])
+        return self.psA0.map_from_entries(self.psA0, entries)
 
     def element_of_regular_endo(self, m):
-        """Algebra element x with m = left multiplication by x."""
-        A = self.A
-        F = self.field
-        M = self.psA0.module
-        w = m.apply(self._reg_unit)
-        x = F.zeros((A.dim,))
-        for d in range(A.nclasses):
-            for p, b in enumerate(self._reg_members[d]):
-                x[b] = w[M.offsets[d] + p]
-        return x
+        """Algebra element x with m = left multiplication by x: the sum of
+        the entries of m over all generators."""
+        entries = self.psA0.entry_matrix_to(self.psA0, m)
+        return self.field.reduce(entries.sum(axis=(0, 1)))
 
     def _assert_approximation(self, u, side):
         """Every map into add P factors through u, up to homotopy.
@@ -788,29 +704,38 @@ def q_hom_map(ctx, src_q, tgt_q, w):
     return out
 
 
-# ---- structural helpers ---------------------------------------------------
+# ---- approximations from generators --------------------------------------
 
 
-def _copy_inclusions(parts, total):
-    """Chain maps including each listed summand complex into their sum."""
-    starts = {d: 0 for d in total.terms}
-    mcS, psS = total.module_form()
-    incls = []
-    for p in parts:
-        mcp, psp = p.module_form()
-        maps = {}
-        for d, cls in p.terms.items():
-            s = starts[d]
-            m = mod.zero_map(mcp.term(d), mcS.term(d))
-            for k in range(len(cls)):
-                m = m.add(psp[d].projs[k].compose(psS[d].incls[s + k]))
-            maps[d] = m
-            starts[d] = s + len(cls)
-        incl = cx.ChainMap(mcp, mcS, maps)
-        if not incl.check():
-            raise RuntimeError("summand inclusion is not a chain map")
-        incls.append(incl)
-    return incls
+def _approximation_map(X, summands, gens, side):
+    """(S, u) for the add(P)-approximation of the complex X given by gens.
+
+    gens is [(i, chain map)] as `minimal_approximation` returns it, each
+    map X -> summands[i] (side "left") or summands[i] -> X (side "right").
+    S is the direct sum of the summands[i], one copy per generator, in
+    order.  Each term of S lays out its copies one after another in every
+    class, so u: X -> S is the generators side by side and u: S -> X is
+    them stacked.
+    """
+    left = side == "left"
+    parts = [summands[i] for i, _ in gens]
+    S = cx.proj_complex_direct_sum(parts) if parts else \
+        cx.ProjComplex(X.A, {}, {})
+    mcS, _ = S.module_form()
+    maps = {}
+    for d in set(X.terms) & set(mcS.terms):
+        mats = [
+            np.concatenate(
+                [g.map_at(d).mats[c] for _, g in gens], axis=1 if left else 0
+            )
+            for c in range(X.A.nclasses)
+        ]
+        if left:
+            maps[d] = mod.ModuleMap(X.term(d), mcS.term(d), mats)
+        else:
+            maps[d] = mod.ModuleMap(mcS.term(d), X.term(d), mats)
+    u = cx.ChainMap(X, mcS, maps) if left else cx.ChainMap(mcS, X, maps)
+    return S, u
 
 
 # ---- Bongartz completion --------------------------------------------------
@@ -830,24 +755,10 @@ def bongartz_complete(P, rng=None):
     # right add(P)-approximation of A[1], from minimal generators of
     # Hom(P_i, A[1]) over the endomorphism algebra of P
     stalkA = cx.stalk_proj_complex(A, list(range(A.nclasses)))
-    mcA, _ = stalkA.module_form()
-    gens = minimal_approximation(EndP(mq), mcA.shift(1), "right")
-    parts = [summands[i] for (i, _) in gens]
-    if parts:
-        Ppp = cx.proj_complex_direct_sum(parts)
-        incls = _copy_inclusions(parts, Ppp)
-        g0 = None
-        for k, (i, gmap) in enumerate(gens):
-            # reverse the inclusion: project the sum onto copy k, then map
-            pr = _copy_projection(incls[k])
-            piece = pr.compose(gmap)
-            g0 = piece if g0 is None else g0.add(piece)
-        u = g0.shift(-1)
-        Cmc, _, _ = cx.mapping_cone(u)
-    else:
-        Cmc, _, _ = cx.mapping_cone(
-            cx.ChainMap(cx.ModuleComplex(A, {}, {}), mcA, {})
-        )
+    mcA1 = stalkA.module_form()[0].shift(1)
+    gens = minimal_approximation(EndP(mq), mcA1, "right")
+    _, g = _approximation_map(mcA1, summands, gens, "right")
+    Cmc, _, _ = cx.mapping_cone(g.shift(-1))
     E_pc, _ = cx.proj_complex_from_module_complex(Cmc)
     total = cx.proj_complex_direct_sum([Pb, E_pc])
     out, out_summands = basic_part(total, rng)
@@ -861,15 +772,6 @@ def bongartz_complete(P, rng=None):
         ):
             raise RuntimeError("completion lost an input summand")
     return out
-
-
-def _copy_projection(incl):
-    """Chain projection splitting a block inclusion built by position."""
-    maps = {}
-    for d, m in incl.maps.items():
-        mats = [np.array(mm.T, copy=True) for mm in m.mats]
-        maps[d] = mod.ModuleMap(incl.tgt.term(d), incl.src.term(d), mats)
-    return cx.ChainMap(incl.tgt, incl.src, maps)
 
 
 # ---- module battery -------------------------------------------------------

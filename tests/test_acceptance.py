@@ -65,8 +65,15 @@ def test_nakayama_fixture_triangle_and_strict_commuting_endo(paper_ctx):
     ba = alg_mod.element_from_paths(A, [(1, ["beta", "alpha"])])
     zero = F.zeros((A.dim,))
     ents = [[zero, zero], [zero, ba]]
-    assert ctx.p1_count == 0 and ctx.psC[-1].classes == [0, 1]
-    m = ctx.psC[-1].map_from_entries(ctx.psC[-1], ents)
+    # P' has no degree -1 term, so the cone's degree -1 term is A, laid
+    # out by the projectives P1, P2 of the cone's module form
+    ps = ctx.cone.module_form()[1][-1]
+    assert -1 not in ctx.Pp.terms and ps.classes == [0, 1]
+    assert all(
+        np.array_equal(x, y)
+        for x, y in zip(ps.module.act, ctx.mcC.term(-1).act)
+    )
+    m = ps.map_from_entries(ps, ents)
     c = cx.ChainMap(ctx.mcC, ctx.mcC, {-1: m})
     assert c.check()
     assert cx.HomSpace(ctx.mcPp, ctx.mcC).is_nullhomotopic(

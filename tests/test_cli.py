@@ -1,10 +1,11 @@
+import inspect
 import os
 
 import pytest
 
 from siltengine import cli
 from siltengine import complexes as cx
-from siltengine import linalg
+from siltengine import linalg, silting
 
 FIXDIR = os.path.join(os.path.dirname(cli.__file__), "fixtures")
 
@@ -251,6 +252,30 @@ def test_ar_command(capsys):
     assert rc == 0
     assert "connecting-term-2" in out and "skipped" in out
     assert "NOT-SEPARATING" in out
+
+
+def test_ar_battery_flags_reach_both_sides(monkeypatch, capsys):
+    # a3_silt splits, so `ar` builds a battery over A and one over B
+    real = silting.module_battery
+    sig = inspect.signature(real)
+    calls = []
+
+    def spy(*args, **kwargs):
+        bound = sig.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(silting, "module_battery", spy)
+    rc = cli.main([
+        "ar", fixture("a3_silt.alg"), fixture("a3_silt.cpx"),
+        "--battery-max-dim", "5", "--battery-cap", "2", "--seed", "3",
+    ])
+    capsys.readouterr()
+    assert rc == 0
+    assert len({id(c["A"]) for c in calls}) == 2
+    for c in calls:
+        assert (c["max_dim"], c["cap"], c["seed"]) == (5, 2, 3)
 
 
 def test_battery_command(capsys):

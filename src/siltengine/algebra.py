@@ -4,13 +4,17 @@ constants.
 Path composition reads left to right: ``alpha.beta`` means "alpha then
 beta", and e_i A e_j is spanned by the paths from i to j.  Every basis
 element b is corner graded: e_src(b) * b = b = b * e_tgt(b).
+
+Idempotents are split off by factoring the minimal polynomial of an
+element.  Over GF(p) that is plain Python on int coefficient lists
+(square-free, distinct-degree and Cantor-Zassenhaus splitting); over Q it
+is sympy, imported only there.
 """
 
 import random
+from fractions import Fraction
 
 import numpy as np
-import sympy
-from sympy.abc import z
 
 from . import linalg
 
@@ -376,80 +380,239 @@ def operator_min_poly(F, m):
 def _normalize_poly(F, coeffs):
     if isinstance(F, linalg.GF):
         return [int(c) % F.p for c in coeffs]
-    from fractions import Fraction
-
     return [Fraction(c) for c in coeffs]
 
 
-def _poly_to_sympy(F, coeffs):
-    """sympy Poly in z from a coefficient list, low to high."""
-    high_to_low = list(reversed(coeffs))
-    if isinstance(F, linalg.GF):
-        return sympy.Poly([int(c) for c in high_to_low], z,
-                          modulus=F.p, symmetric=False)
-    return sympy.Poly(
-        [sympy.Rational(c.numerator, c.denominator) for c in high_to_low],
-        z, domain="QQ",
-    )
-
-
-def factor_min_poly(F, coeffs):
-    """Coprime factor split of a min poly; returns (f, g) sympy Polys or None.
-
-    f*g equals the min poly up to a unit, gcd(f, g) = 1, both proper.
-    """
-    poly = _poly_to_sympy(F, coeffs)
-    _, factors = poly.factor_list()
-    if len(factors) < 2:
-        return None
-    f = factors[0][0] ** factors[0][1]
-    g = poly.quo(f)
-    return f, g
-
-
-def _eval_poly_on_element(F, poly, x, mult_fn, unit):
-    """poly(x) inside the algebra; poly a sympy Poly in z."""
-    coeffs = list(reversed(poly.all_coeffs()))  # low to high
+def _eval_poly_on_element(F, coeffs, x, mult_fn, unit):
+    """poly(x) inside the algebra; coeffs are field scalars, low to high."""
     acc = F.zeros(unit.shape)
     power = unit
     for c in coeffs:
-        cv = _scalar_from_sympy(F, c)
-        acc = F.reduce(acc + cv * power)
+        acc = F.reduce(acc + c * power)
         power = mult_fn(power, x)
     return acc
-
-
-def _scalar_from_sympy(F, c):
-    if isinstance(F, linalg.GF):
-        return int(c) % F.p
-    from fractions import Fraction
-
-    return Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
 
 
 def split_by_min_poly(F, x, op_matrix, unit, mult_fn):
     """Nontrivial idempotent in the unital subalgebra generated by x, or None.
 
     unit is the identity of the ambient (corner) algebra; op_matrix is a
-    faithful matrix of x on some module (regular representation).
+    faithful matrix of x on some module (regular representation).  With
+    f^m the first prime-power factor of the min poly in sympy's
+    `factor_list` order and g the cofactor, the idempotent is (v*g)(x) for
+    v*g = 1 mod f^m: it acts as 1 on ker f(x)^m and as 0 on ker g(x).
     """
     mp = operator_min_poly(F, op_matrix)
-    split = factor_min_poly(F, mp)
-    if split is None:
+    if isinstance(F, linalg.GF):
+        vg = _gf_idempotent_poly(mp, F.p)
+    else:
+        vg = _rational_idempotent_poly(mp)
+    if vg is None:
         return None
-    f, g = split
-    d = sympy.gcdex(f, g)
-    _, v_poly, gc = d
-    if not gc.is_one:
-        return None
-    # idempotent = (v*g)(x): acts as 1 on ker f(x)^inf, 0 on the rest
-    vg = (v_poly * g).rem(_poly_to_sympy(F, mp))
     e = _eval_poly_on_element(F, vg, x, mult_fn, unit)
     if bool(np.all(e == 0)) or bool(np.all(F.reduce(e - unit) == 0)):
         return None
     if not np.all(F.reduce(mult_fn(e, e) - e) == 0):
         raise RuntimeError("idempotent construction")
     return e
+
+
+# ---- min polys over Q: sympy ---------------------------------------------
+
+
+def _poly_to_sympy(coeffs):
+    """sympy Poly over QQ in z from Fraction coefficients, low to high."""
+    import sympy
+    from sympy.abc import z
+
+    return sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
+        z, domain="QQ",
+    )
+
+
+def _rational_idempotent_poly(mp):
+    """Coefficients (Fractions, low to high) of v*g for a rational min poly
+    mp, or None when mp is a power of one irreducible."""
+    import sympy
+
+    poly = _poly_to_sympy(mp)
+    _, factors = poly.factor_list()
+    if len(factors) < 2:
+        return None
+    f = factors[0][0] ** factors[0][1]
+    g = poly.quo(f)
+    _, v_poly, gc = sympy.gcdex(f, g)
+    if not gc.is_one:
+        return None
+    vg = (v_poly * g).rem(poly)
+    return [Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
+            for c in reversed(vg.all_coeffs())]
+
+
+# ---- min polys over GF(p): Python-int coefficient lists, low to high, with
+# no trailing zeros (the zero polynomial is []) ----------------------------
+
+
+def _gf_idempotent_poly(mp, p):
+    """Coefficients of v*g for a monic min poly mp over GF(p), or None when
+    mp is a power of one irreducible."""
+    factors = _gf_factor(mp, p)
+    if len(factors) < 2:
+        return None
+    h, m = factors[0]
+    f = [1]
+    for _ in range(m):
+        f = _gf_mul(f, h, p)
+    g = _gf_divmod(mp, f, p)[0]
+    return _gf_mul(_gf_inverse_mod(g, f, p), g, p)
+
+
+def _gf_factor(f, p):
+    """Monic irreducible factors of a monic f with their multiplicities,
+    in the order of sympy's `factor_list`: by degree, then multiplicity,
+    then coefficient list high to low.
+
+    Square-free, distinct-degree and equal-degree (Cantor-Zassenhaus)
+    splitting; the last draws from its own Random(0), so the result and
+    its cost are deterministic.
+    """
+    rng = random.Random(0)
+    out = []
+    for g, m in _gf_sqf_list(f, p):
+        for h, d in _gf_ddf(g, p):
+            out += [(q, m) for q in _gf_edf(h, d, p, rng)]
+    return sorted(out, key=lambda t: (len(t[0]), t[1], t[0][::-1]))
+
+
+def _gf_sqf_list(f, p):
+    """[(g, m)]: f is the product of the g^m, each g square-free, monic
+    and of positive degree, the g pairwise coprime."""
+    out = []
+    c = _gf_gcd(f, _gf_trim([i * a % p for i, a in enumerate(f)][1:]), p)
+    w = _gf_divmod(f, c, p)[0]
+    m = 1
+    while len(w) > 1:
+        y = _gf_gcd(w, c, p)
+        fac = _gf_divmod(w, y, p)[0]
+        if len(fac) > 1:
+            out.append((fac, m))
+        w, c, m = y, _gf_divmod(c, y, p)[0], m + 1
+    if len(c) > 1:
+        # what is left has multiplicities divisible by p: c = r(z)^p with
+        # r read off every p-th coefficient, as a^p = a in GF(p)
+        out += [(g, k * p) for g, k in _gf_sqf_list(c[::p], p)]
+    return out
+
+
+def _gf_ddf(f, p):
+    """[(g, d)]: g is the product of the degree-d irreducible factors of a
+    square-free monic f."""
+    out = []
+    h, d = [0, 1], 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _gf_powmod(h, p, f, p)  # z^(p^d) mod f
+        g = _gf_gcd(f, _gf_sub(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _gf_divmod(f, g, p)[0]
+            h = _gf_divmod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _gf_edf(f, d, p, rng):
+    """Irreducible factors of a square-free monic f whose factors all have
+    degree d.  For odd p a random a gives gcd(f, a^((p^d-1)/2) - 1); for
+    p = 2 the trace a + a^2 + ... + a^(2^(d-1)) takes the place of the
+    power."""
+    n = len(f) - 1
+    if n == d:
+        return [f]
+    while True:
+        a = _gf_trim([rng.randrange(p) for _ in range(n)])
+        if p == 2:
+            b = t = a
+            for _ in range(d - 1):
+                t = _gf_divmod(_gf_mul(t, t, p), f, p)[1]
+                b = _gf_sub(b, t, p)  # b + t in characteristic 2
+        else:
+            b = _gf_sub(_gf_powmod(a, (p ** d - 1) // 2, f, p), [1], p)
+        g = _gf_gcd(f, b, p)
+        if 1 < len(g) < len(f):
+            return (_gf_edf(g, d, p, rng)
+                    + _gf_edf(_gf_divmod(f, g, p)[0], d, p, rng))
+
+
+def _gf_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _gf_sub(a, b, p):
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _gf_trim([(x - y) % p for x, y in zip(a, b)])
+
+
+def _gf_mul(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [c % p for c in out]
+
+
+def _gf_divmod(a, b, p):
+    """(q, r) with a = q*b + r and deg r < deg b; b nonzero."""
+    r = list(a)
+    nb = len(b)
+    inv = pow(b[-1], p - 2, p)
+    q = [0] * max(len(a) - nb + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + nb - 1] * inv % p
+        q[k] = c
+        for j, y in enumerate(b):
+            r[k + j] = (r[k + j] - c * y) % p
+    return q, _gf_trim(r[:nb - 1])
+
+
+def _gf_gcd(a, b, p):
+    """Monic gcd; gcd(a, 0) is a made monic."""
+    while b:
+        a, b = b, _gf_divmod(a, b, p)[1]
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def _gf_powmod(a, e, m, p):
+    """a^e mod m, by squaring."""
+    out, a = [1], _gf_divmod(a, m, p)[1]
+    while e:
+        if e & 1:
+            out = _gf_divmod(_gf_mul(out, a, p), m, p)[1]
+        e >>= 1
+        a = _gf_divmod(_gf_mul(a, a, p), m, p)[1]
+    return out
+
+
+def _gf_inverse_mod(g, f, p):
+    """t with t*g = 1 mod f and deg t < deg f, for coprime g and f, by the
+    extended Euclidean algorithm: each remainder r_i = t_i * g mod f, and
+    the last nonzero one is the constant gcd."""
+    r0, r1 = f, _gf_divmod(g, f, p)[1]
+    t0, t1 = [], [1]
+    while r1:
+        q, r = _gf_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        t0, t1 = t1, _gf_sub(t0, _gf_mul(q, t1, p), p)
+    inv = pow(r0[0], p - 2, p)
+    return [c * inv % p for c in t0]
 
 
 # ---- quiver presentation build ------------------------------------------

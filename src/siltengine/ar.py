@@ -184,16 +184,18 @@ def _hom_p_sequence(ctx, tX, E, X, f, g, shift):
     return h1.module, h2.module, h3.module, w1, w2
 
 
-def split_ar_report(ctx, battery=None, battery_b=None):
+def split_ar_report(ctx, battery=None, battery_b=None, sp=None):
     """Split-case inventory: transported AR sequences plus the trichotomy.
 
     Requires the splitting verdict to be certified.  AR sequences of mod A
     lying inside the torsion (resp. torsion-free) class are pushed through
     Hom(P, -) (resp. Hom(P, -[1])) and checked almost split over B; every
     AR sequence of mod B ending at a battery module is classified as
-    torsion-side, free-side, or connecting.
+    torsion-side, free-side, or connecting.  sp is the splitting entry
+    when the caller has already computed it.
     """
-    sp = splitting_check(ctx, battery)
+    if sp is None:
+        sp = splitting_check(ctx, battery)
     if sp["dims"].get("verdict") != "CERTIFIED-SPLITTING":
         raise PreconditionError("splitting is not certified")
     if battery is None:

@@ -42,7 +42,11 @@ def _fail(lineno, msg):
 def parse_field(text):
     """'Q' or a prime characteristic as decimal digits."""
     if text == "Q":
-        return linalg.RationalField()
+        try:
+            return linalg.RationalField()
+        except ImportError:
+            raise ParseError("field Q needs sympy, which is not installed") \
+                from None
     if text.isdigit():
         try:
             return linalg.GF(int(text))
@@ -503,7 +507,7 @@ def cmd_ar(args):
             ctx.B, ctx.torsion_B, args.battery_max_dim, args.battery_cap,
             args.seed,
         )
-        checks.extend(ar.split_ar_report(ctx, battery, battery_b))
+        checks.extend(ar.split_ar_report(ctx, battery, battery_b, sp))
     else:
         checks.append(sp)
     checks.append(ar.separating_check(ctx, battery, cert))

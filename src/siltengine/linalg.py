@@ -24,16 +24,31 @@ action matrices the engine multiplies.
 
 `candidates` is the engine's one seeded search: the rows of a basis, then
 random combinations of them, with every random coefficient drawn there.
+
+GF(p) needs nothing beyond numpy: its primality check is trial division.
+Building a `RationalField` imports sympy, which factors min polys over Q
+(see `algebra`).
 """
 
 from fractions import Fraction
 
 import numpy as np
-import sympy
 
 
 class FieldTooLargeError(ValueError):
     """A prime too large for exact int64 arithmetic."""
+
+
+def is_prime(n):
+    """Primality by trial division, cheap for the n < 2^24 a GF(p) takes."""
+    if n < 2:
+        return False
+    k = 2
+    while k * k <= n:
+        if n % k == 0:
+            return False
+        k += 1
+    return True
 
 
 class GF:
@@ -51,7 +66,7 @@ class GF:
             raise FieldTooLargeError(
                 "p = %d is not below 2^24 = %d" % (p, self.MAX_P)
             )
-        if not sympy.isprime(p):
+        if not is_prime(p):
             raise ValueError("p = %d is not a prime" % p)
         self.p = p
 
@@ -91,6 +106,11 @@ class GF:
 
 class RationalField:
     """Arbitrary-precision rationals via Fraction object arrays."""
+
+    def __init__(self):
+        # min polys over Q are factored by sympy; importing it with the
+        # field puts its cost in parsing, not in the first idempotent split
+        import sympy  # noqa: F401
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -156,7 +176,6 @@ class RationalField:
         return Fraction(rng.randrange(-100, 101), rng.randrange(1, 20))
 
 
-QQ = RationalField()
 _ZERO = Fraction(0)
 
 

@@ -375,13 +375,17 @@ class SiltingContext:
             self.e.compose(self.f)
         ):
             raise RuntimeError("triangle composite e.f not null-homotopic")
-        self.Ppp = cx.minimize(self.cone)
         for grp in cx.decompose_complex(self.cone, self.rng):
             if not any(
                 cx.complexes_isomorphic(grp[0], s) for s in self.summands
             ):
                 raise RuntimeError("cone of the approximation leaves add P")
         self._assert_approximation(self.g, "right")
+
+    @functools.cached_property
+    def Ppp(self):
+        """P'', the minimized cone of the approximation A -> P'."""
+        return cx.minimize(self.cone)
 
     def left_mult_map(self, avec):
         """Right-module endomorphism of A given by left multiplication:

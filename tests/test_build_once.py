@@ -63,6 +63,13 @@ def test_context_verdicts_match_the_predicates(case):
     assert ctx.q_classes == ctx.B.nclasses
 
 
+def test_cone_is_minimized_on_first_read_of_Ppp(case):
+    _, ctx, _, _ = case
+    assert "Ppp" not in vars(ctx)
+    assert ctx.Ppp is ctx.Ppp
+    assert ctx.Ppp.terms == cx.minimize(ctx.cone).terms
+
+
 def test_hom_P_of_is_memoized_and_equals_a_fresh_build(case):
     _, ctx, battery, _ = case
     for X in battery:

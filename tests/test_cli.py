@@ -1,9 +1,11 @@
 import inspect
 import os
+import subprocess
+import sys
 
 import pytest
 
-from siltengine import cli
+from siltengine import ar, cli
 from siltengine import complexes as cx
 from siltengine import linalg, silting
 
@@ -278,6 +280,23 @@ def test_ar_battery_flags_reach_both_sides(monkeypatch, capsys):
         assert (c["max_dim"], c["cap"], c["seed"]) == (5, 2, 3)
 
 
+def test_ar_decides_splitting_once(monkeypatch, capsys):
+    # a3_silt is hereditary: one certificate serves the splitting entry of
+    # `ar` and the split-case report that starts with it
+    real = ar.hereditary_certificate
+    calls = []
+
+    def spy(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(ar, "hereditary_certificate", spy)
+    rc = cli.main(["ar", fixture("a3_silt.alg"), fixture("a3_silt.cpx")])
+    capsys.readouterr()
+    assert rc == 0
+    assert len(calls) == 1
+
+
 def test_battery_command(capsys):
     rc = cli.main(["battery", fixture("a3_silt.alg")])
     out = capsys.readouterr().out
@@ -344,3 +363,41 @@ def test_largest_accepted_prime_runs(capsys):
     assert "field:   16777213" in out
     assert cli.main(["check"] + argv) == 0
     assert capsys.readouterr().out.replace("32003", "16777213") == out
+
+
+# ---- sympy only for the rationals -----------------------------------------
+
+
+def _sympy_loaded_after(argvs, block=False):
+    """Run cli.main on each argument list in a fresh interpreter; return its
+    exit codes and whether sympy was imported.  With block=True an import
+    of sympy fails, as if it were not installed."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (
+        "import sys\n"
+        + ("sys.modules['sympy'] = None\n" if block else "")
+        + "from siltengine import cli\n"
+        + "rcs = [cli.main(a) for a in %r]\n" % (argvs,)
+        + "print(rcs, sys.modules.get('sympy') is not None)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return res.stdout.splitlines()[-1], res.stderr
+
+
+def test_gf_commands_do_not_import_sympy():
+    argv = [fixture("a3_silt.alg"), fixture("a3_silt.cpx")]
+    out, _ = _sympy_loaded_after(
+        [["check"] + argv, ["theorem"] + argv + ["--field", "32003"]])
+    assert out == "[0, 0] False"
+    out, _ = _sympy_loaded_after([["check"] + argv + ["--field", "Q"]])
+    assert out == "[0] True"
+
+
+def test_field_q_without_sympy_is_refused():
+    argv = [fixture("a2_tilt.alg"), fixture("a2_tilt.cpx")]
+    out, err = _sympy_loaded_after(
+        [["check"] + argv + ["--field", "Q"], ["check"] + argv], block=True)
+    assert out == "[1, 0] False"
+    assert "field Q needs sympy" in err

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siltengine import linalg
-from siltengine.linalg import GF, QQ
+from siltengine.linalg import GF, RationalField
 
 F5 = GF(5)
 F = GF(32003)
+QQ = RationalField()
 
 
 def test_rref_identity_fixed():
@@ -367,6 +368,13 @@ def test_gf_refuses_p_at_least_2_to_the_24():
             GF(p)
     with pytest.raises(ValueError, match="not a prime"):
         GF(2 ** 24 - 1)
+
+
+def test_is_prime_equals_sympy_isprime():
+    import sympy
+
+    for n in list(range(20000)) + [2 ** 24 - k for k in range(201)]:
+        assert linalg.is_prime(n) == sympy.isprime(n), n
 
 
 def test_gf_largest_prime_is_exact_up_to_inner_dimension_2_to_the_15():

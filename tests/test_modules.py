@@ -282,7 +282,7 @@ def _fresh(M):
     return modules.Module(M.A, M.dims, M.act)
 
 
-FIELDS = [linalg.GF(32003), linalg.QQ]
+FIELDS = [linalg.GF(32003), linalg.RationalField()]
 FIELD_IDS = ["GF32003", "Q"]
 
 

@@ -22,6 +22,7 @@ ALLOWED = {
     "structure_constant_algebra",  # algebras given by a multiplication table
     "two_term_complex",  # [P^{-1} -> P^0] from classes and entries
     "summand_count",  # number of indecomposable projective summands
+    "Ppp",  # P'' of the silting triangle, minimized on first read
 }
 
 

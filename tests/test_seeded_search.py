@@ -16,11 +16,11 @@ import pytest
 from siltengine import complexes as cx
 from siltengine import modules as mod
 from siltengine import silting
-from siltengine.linalg import QQ
+from siltengine.linalg import RationalField
 
 from conftest import F, make_a2_algebra
 
-FIELDS = [F, QQ]
+FIELDS = [F, RationalField()]
 FIELD_IDS = ["GF32003", "Q"]
 
 

@@ -418,10 +418,10 @@ def cmd_check(args):
     checks = []
     pre, wit = silting.is_presilting(P)
     checks.append(_verdict("presilting", pre, _witness_text(wit)))
-    # is_tilting decomposes P once.  A silting P that is not tilting has a
-    # witness in Hom(P, P[-1]); a presilting P with too few classes has none.
-    til, wit = silting.is_tilting(P)
-    sil = til or (pre and wit is not None)
+    # P is decomposed once, and only when it is presilting.  A silting P
+    # that is not tilting has a witness in Hom(P, P[-1]).
+    sil = pre and silting.has_all_classes(P)
+    til, wit = silting.negative_hom_vanishes(P) if sil else (False, None)
     checks.append(_verdict("silting", sil, None if pre
                            else "not presilting"))
     checks.append(_verdict("tilting", til, _witness_text(wit) if sil

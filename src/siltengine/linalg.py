@@ -5,6 +5,12 @@ Fraction objects for the rationals.  Subspaces are represented by matrices
 whose rows form a basis; canonical form is the reduced row echelon form with
 zero rows dropped, so equal subspaces compare equal entrywise.
 
+`rref` eliminates on Python rows, not numpy rows: the matrices the
+engine reduces are mostly smaller than 4 x 8, too small for numpy's
+per-call overhead to pay off.  Each pivot row updates only its nonzero
+columns, so zeros cost nothing, which over Q saves most Fraction
+arithmetic.
+
 Solves factor once and solve many: `solve_matrix` reduces `[a | b]` once
 for every column of b, and `coords_in_basis`, `in_span` and `solve` are
 one-column cases of it.  `Coords` factors a basis of independent rows once
@@ -126,7 +132,10 @@ class RationalField:
         out = np.empty(a.shape, dtype=object)
         flat_out, flat_in = out.reshape(-1), a.reshape(-1)
         for i in range(flat_in.size):
-            flat_out[i] = Fraction(flat_in[i])
+            x = flat_in[i]
+            # a Fraction keeps a numpy integer as its numerator, and
+            # products of such Fractions wrap around in int64
+            flat_out[i] = Fraction(int(x) if isinstance(x, np.integer) else x)
         return out
 
     def zeros(self, shape):
@@ -180,28 +189,47 @@ _ZERO = Fraction(0)
 
 
 def rref(F, a):
-    """Reduced row echelon form.  Returns (R, pivot_columns)."""
-    a = F.reduce(np.array(a, copy=True))
+    """Reduced row echelon form.  Returns (R, pivot_columns).
+
+    Eliminates on Python rows, touching only the nonzero columns of each
+    pivot row.  Over GF(p) every update is reduced mod p; over Q entries
+    stay Fractions.  R has the dtype of a.
+    """
+    a = np.asarray(a)
     nrows, ncols = a.shape
+    p = F.p if isinstance(F, GF) else None
+    rows = (a % p if p else a).tolist()
     pivots = []
     r = 0
     for c in range(ncols):
-        if r >= nrows:
+        if r == nrows:
             break
         k = r
-        while k < nrows and a[k, c] == 0:
+        while k < nrows and not rows[k][c]:
             k += 1
         if k == nrows:
             continue
-        if k != r:
-            a[[r, k]] = a[[k, r]]
-        a[r] = F.reduce(a[r] * F.inv(a[r, c]))
+        rows[r], rows[k] = rows[k], rows[r]
+        prow = rows[r]
+        inv = F.inv(prow[c])
+        # entries left of c vanish in every row from r down
+        nz = [j for j in range(c, ncols) if prow[j]]
+        for j in nz:
+            prow[j] = prow[j] * inv % p if p else prow[j] * inv
         for i in range(nrows):
-            if i != r and a[i, c] != 0:
-                a[i] = F.reduce(a[i] - a[i, c] * a[r])
+            row = rows[i]
+            f = row[c]
+            if i == r or not f:
+                continue
+            if p:
+                for j in nz:
+                    row[j] = (row[j] - f * prow[j]) % p
+            else:
+                for j in nz:
+                    row[j] -= f * prow[j]
         pivots.append(c)
         r += 1
-    return a, pivots
+    return np.array(rows, dtype=a.dtype).reshape(nrows, ncols), pivots
 
 
 def rank(F, a):

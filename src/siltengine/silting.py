@@ -48,10 +48,12 @@ def is_silting(P, rng=None):
     ok, wit = is_presilting(P)
     if not ok:
         return False, wit
-    groups = cx.decompose_complex(P, rng)
-    if len(groups) != P.A.nclasses:
-        return False, None
-    return True, None
+    return has_all_classes(P, rng), None
+
+
+def has_all_classes(P, rng=None):
+    """Does P have as many summand classes as A has simples?"""
+    return len(cx.decompose_complex(P, rng)) == P.A.nclasses
 
 
 def is_tilting(P, rng=None):
@@ -59,6 +61,11 @@ def is_tilting(P, rng=None):
     ok, wit = is_silting(P, rng)
     if not ok:
         return False, wit
+    return negative_hom_vanishes(P)
+
+
+def negative_hom_vanishes(P):
+    """(verdict, witness): witness is a nonzero class in Hom(P, P[-1])."""
     mc, _ = P.module_form()
     hs = cx.hom_complexes(mc, mc, -1)
     if hs.dim == 0:
@@ -79,27 +86,78 @@ def basic_part(P, rng=None):
 class TorsionPair:
     """The torsion pair (Fac H^0(P), Sub H^{-1}(nu P)) of a silting P.
 
-    Membership is decided both by Hom-vanishing against P and by the
-    trace/reject criteria; the two answers are asserted equal.
+    Both criteria read one matrix per module X, the map
+    D_X : Hom(P^0, X) -> Hom(P^{-1}, X), f |-> f o d, on generator
+    images.  Hom_K(P, X) = ker D_X and Hom_K(P, X[1]) = coker D_X, so X
+    is torsion iff D_X is onto and torsion-free iff it is injective
+    (Adachi-Iyama-Reiten).  Since H^0(P) = coker d, ker D_X is also
+    Hom(H^0(P), X), and the trace of H^0(P) in X is read off it.  The
+    Hom-vanishing answers are checked against the trace and reject
+    criteria; the two answers are asserted equal.
     """
 
     def __init__(self, P):
         self.P = P
         self.A = P.A
         self.field = P.A.field
-        self.mc, _ = P.module_form()
-        self.h0 = self.mc.cohomology(0)
+        self.h0 = P.module_form()[0].cohomology(0)
         self.cogen = cx.nu_complex(P).cohomology(-1)
+        # each entry keeps its module alive so id-based keys stay unique
         self._cache = {}
 
+    def _ker_dx(self, X):
+        """(basis of ker D_X as rows, dim coker D_X), built once per module.
+
+        Block (k, j) of D_X is sum_b d_jk[b] X.act[b], for generator k of
+        P^0 and j of P^{-1}: no solve is needed to write it down.
+        """
+        key = ("d", id(X))
+        if key not in self._cache:
+            F = self.field
+            c0, c1 = self.P.terms.get(0, []), self.P.terms.get(-1, [])
+            d = self.P.diff(-1)
+            o0 = np.cumsum([0] + [X.dims[c] for c in c0])
+            o1 = np.cumsum([0] + [X.dims[c] for c in c1])
+            dx = F.zeros((o0[-1], o1[-1]))
+            for j in range(len(c1)):
+                for k in range(len(c0)):
+                    for b in np.flatnonzero(d[j, k].astype(bool)):
+                        dx[o0[k]:o0[k + 1], o1[j]:o1[j + 1]] += (
+                            d[j, k, b] * X.act[b]
+                        )
+            ker = linalg.kernel(F, F.reduce(dx).T)
+            rank = dx.shape[0] - ker.shape[0]
+            self._cache[key] = (X, ker, dx.shape[1] - rank)
+        return self._cache[key][1:]
+
+    def hom_dims(self, X):
+        """(dim Hom_K(P, X), dim Hom_K(P, X[1])), from one reduction of D_X."""
+        ker, coker = self._ker_dx(X)
+        return ker.shape[0], coker
+
     def trace_vectors(self, X):
-        """Total vectors spanning the largest H^0(P)-generated submodule."""
+        """Total vectors spanning the largest H^0(P)-generated submodule.
+
+        It is the span of x_k b for x in ker D_X and b in a basis of
+        e_{c_k} A, with x_k the image of generator k of P^0.
+        """
         F = self.field
-        maps, _ = mod.hom_space(self.h0, X)
-        rows = [mod.image_vectors(m) for m in maps]
-        rows = [r for r in rows if r.shape[0]]
-        if not rows:
+        A = self.A
+        ker, _ = self._ker_dx(X)
+        if not ker.shape[0]:
             return F.zeros((0, X.total))
+        rows = []
+        start = 0
+        for c in self.P.terms.get(0, []):
+            xk = ker[:, start:start + X.dims[c]]
+            start += X.dims[c]
+            for b in np.flatnonzero(A.src == c):
+                t = int(A.tgt[b])
+                blk = F.zeros((ker.shape[0], X.total))
+                blk[:, X.offsets[t]:X.offsets[t + 1]] = F.matmul(
+                    xk, X.act[b]
+                )
+                rows.append(blk)
         return linalg.row_space(F, np.concatenate(rows, axis=0))
 
     def reject_is_zero(self, X):
@@ -113,14 +171,10 @@ class TorsionPair:
         stacked = np.concatenate([m.total_matrix() for m in maps], axis=1)
         return linalg.rank(F, stacked) == X.total
 
-    def _hom_dim(self, X, shift):
-        return cx.hom_complexes(self.mc, cx.stalk_complex(X), shift).dim
-
     def in_torsion(self, X):
-        # the cache keeps X alive so id-based keys stay unique
         key = ("t", id(X))
         if key not in self._cache:
-            by_hom = self._hom_dim(X, 1) == 0
+            by_hom = self.hom_dims(X)[1] == 0
             by_trace = self.trace_vectors(X).shape[0] == X.total
             if by_hom != by_trace:
                 raise RuntimeError("torsion membership criteria disagree")
@@ -130,7 +184,7 @@ class TorsionPair:
     def in_free(self, X):
         key = ("f", id(X))
         if key not in self._cache:
-            by_hom = self._hom_dim(X, 0) == 0
+            by_hom = self.hom_dims(X)[0] == 0
             by_reject = self.reject_is_zero(X)
             if by_hom != by_reject:
                 raise RuntimeError("torsion-free membership criteria disagree")

@@ -316,6 +316,70 @@ def test_coords_rejects_dependent_basis():
         linalg.Coords(F5, F5.array([[1, 2, 0], [2, 4, 0]]))
 
 
+# ---- row-list elimination against the numpy row operations it replaced ----
+
+
+def _ref_rref(F, a):
+    """Gauss-Jordan with numpy scalar and row operations on whole rows."""
+    a = F.reduce(np.array(a, copy=True))
+    nrows, ncols = a.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        k = r
+        while k < nrows and a[k, c] == 0:
+            k += 1
+        if k == nrows:
+            continue
+        if k != r:
+            a[[r, k]] = a[[k, r]]
+        a[r] = F.reduce(a[r] * F.inv(a[r, c]))
+        for i in range(nrows):
+            if i != r and a[i, c] != 0:
+                a[i] = F.reduce(a[i] - a[i, c] * a[r])
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from(FIELDS),
+       st.integers(0, 6), st.integers(0, 7), st.booleans())
+def test_rref_equals_numpy_row_operations(seed, F, rows, cols, unreduced):
+    rng = random.Random(seed)
+    a = _low_rank(F, rng, rows, cols, rng.randrange(0, min(rows, cols) + 1))
+    if isinstance(F, GF) and unreduced:
+        # entries outside [0, p) are reduced first
+        shift = np.array([[rng.randrange(-2, 3) for _ in range(cols)]
+                          for _ in range(rows)], dtype=np.int64)
+        a = a + F.p * shift.reshape(rows, cols)
+    before = a.copy()
+    got, pivots = linalg.rref(F, a)
+    want, want_pivots = _ref_rref(F, a)
+    assert np.array_equal(a, before)
+    assert pivots == want_pivots
+    assert got.shape == want.shape == a.shape
+    assert got.dtype == want.dtype == a.dtype
+    assert np.array_equal(got, want)
+    if not isinstance(F, GF):
+        assert all(type(x) is Fraction for x in got.reshape(-1))
+
+
+def test_rational_array_makes_python_int_numerators():
+    a = QQ.array([[3**20, 0], [0, 1]])
+    assert not any(
+        isinstance(x.numerator, np.integer) for x in a.reshape(-1)
+    )
+    cube = QQ.matmul(QQ.matmul(a, a), a)
+    assert cube[0, 0] == 3**60 and cube[1, 1] == 1
+    # Fractions and Python ints pass through unchanged
+    b = QQ.array(np.array([[Fraction(1, 3), 2]], dtype=object))
+    assert b[0, 0] == Fraction(1, 3) and b[0, 1] == 2
+    assert all(type(x) is Fraction for x in b.reshape(-1))
+
+
 # ---- algebra products against the einsum forms they replaced -------------
 
 

@@ -23,6 +23,7 @@ ALLOWED = {
     "two_term_complex",  # [P^{-1} -> P^0] from classes and entries
     "summand_count",  # number of indecomposable projective summands
     "Ppp",  # P'' of the silting triangle, minimized on first read
+    "is_tilting",  # silting and Hom(P, P[-1]) = 0, as one predicate
 }
 
 

@@ -165,7 +165,16 @@ def identity_chain_map(X):
 
 
 class HomSpace:
-    """Hom of complexes modulo homotopy, with explicit coordinates."""
+    """Hom of complexes modulo homotopy, with explicit coordinates.
+
+    A chain map is flattened degree by degree over the degrees where X
+    and Y both have a term, each degree in the flat layout of module maps.
+    The chain maps are the candidates, the block-diagonal rows of the
+    degreewise `hom_space` bases, that meet f^i d_Y - d_X f^{i+1} = 0;
+    the homotopies are the images s d_Y + d_X s of the `hom_space` bases
+    of X^d -> Y^{d-1}.  Both are composed in batches with
+    `modules.compose_flats`, one product per degree and class.
+    """
 
     def __init__(self, X, Y):
         self.X = X
@@ -173,23 +182,13 @@ class HomSpace:
         self.field = X.field
         self._compute()
 
-    def _layout(self):
-        degs = sorted(set(self.X.terms) & set(self.Y.terms))
-        sizes = []
-        for d in degs:
-            sz = sum(
-                self.X.term(d).dims[c] * self.Y.term(d).dims[c]
-                for c in range(self.X.A.nclasses)
-            )
-            sizes.append(sz)
-        return degs, sizes
-
     def _compute(self):
         F = self.field
         X, Y = self.X, self.Y
-        degs, sizes = self._layout()
-        self.degs, self.sizes = degs, sizes
-        nflat = sum(sizes)
+        degs = sorted(set(X.terms) & set(Y.terms))
+        self.degs = degs
+        slot, nflat = _flat_slots({d: (X.term(d), Y.term(d)) for d in degs})
+        self._slot = slot
         self.nflat = nflat
         if nflat == 0:
             z = F.zeros((0, 0))
@@ -200,34 +199,37 @@ class HomSpace:
             self.htpy_gens = []
             self.htpy_images = z
             return
-        # chain maps: per-degree module maps with the commuting condition
-        per_deg = []
-        for d in degs:
-            maps, flat = mod.hom_space(X.term(d), Y.term(d))
-            per_deg.append((maps, flat))
-        # build candidate space as product of degreewise hom spaces
-        rows = []
-        offs = np.concatenate([[0], np.cumsum(sizes)])
-        for di, d in enumerate(degs):
-            maps, flat = per_deg[di]
-            for r in range(flat.shape[0]):
-                v = F.zeros((nflat,))
-                v[offs[di] : offs[di + 1]] = flat[r]
-                rows.append(v)
-        cand = np.stack(rows, axis=0) if rows else F.zeros((0, nflat))
-        # condition: f^d . d_Y - d_X . f^{d+1} = 0 for all d
-        cond_rows = []
-        for r in range(cand.shape[0]):
-            f = self.map_from_flat(cand[r])
-            viol = []
-            for i in set(X.terms) | set(Y.terms):
-                lhs = f.map_at(i).compose(Y.dmap(i))
-                rhs = X.dmap(i).compose(f.map_at(i + 1))
-                diff = lhs.add(rhs.scale(neg_one(F)))
-                viol.append(diff.flat())
-            cond_rows.append(np.concatenate(viol) if viol else F.zeros((0,)))
-        if cond_rows and cond_rows[0].shape[0] > 0:
-            cond = np.stack(cond_rows, axis=0)
+        # condition i is the map X^i -> Y^{i+1}; a degree-d candidate
+        # meets condition d through d_Y^d and condition d - 1 through
+        # d_X^{d-1}
+        cslot, ncond = _flat_slots({
+            i: (X.term(i), Y.term(i + 1))
+            for i in sorted(X.terms) if (i + 1) in Y.terms
+        })
+        bases = [mod.hom_space(X.term(d), Y.term(d))[1] for d in degs]
+        ncand = sum(b.shape[0] for b in bases)
+        cand = F.zeros((ncand, nflat))
+        cond = F.zeros((ncand, ncond))
+        r = 0
+        for d, basis in zip(degs, bases):
+            k = basis.shape[0]
+            if not k:
+                continue
+            M, N = X.term(d), Y.term(d)
+            lo, hi = slot[d]
+            cand[r : r + k, lo:hi] = basis
+            if d in cslot:
+                lo, hi = cslot[d]
+                cond[r : r + k, lo:hi] = mod.compose_flats(
+                    basis, M, N, right=Y.dmap(d)
+                )
+            if (d - 1) in cslot:
+                lo, hi = cslot[d - 1]
+                cond[r : r + k, lo:hi] = F.neg(
+                    mod.compose_flats(basis, M, N, left=X.dmap(d - 1))
+                )
+            r += k
+        if ncand and ncond:
             coeff_ker = linalg.kernel(F, cond.T)
             chain = linalg.row_space(F, F.matmul(coeff_ker, cand))
         else:
@@ -237,21 +239,29 @@ class HomSpace:
         # ranging over all degrees where both sides are nonzero; the
         # generators (d, s) and their images are kept for find_homotopy
         self.htpy_gens = []
-        h_rows = []
-        for d in sorted(set(X.terms)):
+        images = []
+        for d in sorted(X.terms):
             if (d - 1) not in Y.terms:
                 continue
-            _, sflat = mod.hom_space(X.term(d), Y.term(d - 1))
-            for r in range(sflat.shape[0]):
-                s = mod.map_from_flat(X.term(d), Y.term(d - 1), sflat[r])
-                out = {}
-                out[d] = s.compose(Y.dmap(d - 1))
-                out[d - 1] = X.dmap(d - 1).compose(s)
-                h = ChainMap(X, Y, out)
-                h_rows.append(self.flat_of(h))
-                self.htpy_gens.append((d, s))
-        if h_rows:
-            self.htpy_images = np.stack(h_rows, axis=0)
+            M, N = X.term(d), Y.term(d - 1)
+            smaps, sflat = mod.hom_space(M, N)
+            if not smaps:
+                continue
+            img = F.zeros((len(smaps), nflat))
+            if d in slot:
+                lo, hi = slot[d]
+                img[:, lo:hi] = mod.compose_flats(
+                    sflat, M, N, right=Y.dmap(d - 1)
+                )
+            if (d - 1) in slot:
+                lo, hi = slot[d - 1]
+                img[:, lo:hi] = mod.compose_flats(
+                    sflat, M, N, left=X.dmap(d - 1)
+                )
+            images.append(img)
+            self.htpy_gens.extend((d, s) for s in smaps)
+        if images:
+            self.htpy_images = np.concatenate(images, axis=0)
             htpy = linalg.row_space(F, self.htpy_images)
         else:
             self.htpy_images = htpy = F.zeros((0, nflat))
@@ -262,11 +272,10 @@ class HomSpace:
         self.dim = self.class_basis.shape[0]
 
     def map_from_flat(self, v):
-        offs = np.concatenate([[0], np.cumsum(self.sizes)])
-        maps = {}
-        for di, d in enumerate(self.degs):
-            blk = v[offs[di] : offs[di + 1]]
-            maps[d] = mod.map_from_flat(self.X.term(d), self.Y.term(d), blk)
+        maps = {
+            d: mod.map_from_flat(self.X.term(d), self.Y.term(d), v[lo:hi])
+            for d, (lo, hi) in self._slot.items()
+        }
         return ChainMap(self.X, self.Y, maps)
 
     def flat_of(self, f):
@@ -312,6 +321,17 @@ class HomSpace:
 
     def is_nullhomotopic(self, f):
         return linalg.in_span(self.field, self.htpy, self.flat_of(f))
+
+
+def _flat_slots(pairs):
+    """({key: (lo, hi)}, width): the columns of each flat map M -> N, for
+    pairs {key: (M, N)}, laid side by side in key order."""
+    slots, pos = {}, 0
+    for key, (M, N) in pairs.items():
+        size = sum(a * b for a, b in zip(M.dims, N.dims))
+        slots[key] = (pos, pos + size)
+        pos += size
+    return slots, pos
 
 
 def hom_complexes(X, Y, n=0):
@@ -647,8 +667,8 @@ def chain_end_algebra(X):
     """
     hs = HomSpace(X, X)
     E, basis_maps = mod.algebra_of_maps(
-        X.field, identity_chain_map(X), hs.chain_basis, hs.map_from_flat,
-        hs.flat_of,
+        X.field, hs.chain_basis, hs.map_from_flat,
+        [m for d in hs.degs for m in X.term(d).dims],
     )
     return E, basis_maps, hs
 

@@ -200,6 +200,39 @@ def map_from_flat(M, N, v):
     return ModuleMap(M, N, mats)
 
 
+def compose_flats(flats, M, N, left=None, right=None):
+    """Flat rows of `left` then f, or of f then `right`, for a batch of
+    maps f : M -> N given as the rows of flats.
+
+    Give exactly one of left (a ModuleMap L -> M) and right (N -> R).
+    Each class takes one product for the whole batch: the f blocks
+    stacked as (nb * m, n) rows times right's block, or left's block
+    times the f blocks side by side as (m, nb * n).
+    """
+    if (left is None) == (right is None):
+        raise ValueError("give exactly one of left and right")
+    F = M.field
+    nb = flats.shape[0]
+    out = []
+    pos = 0
+    for c in range(M.A.nclasses):
+        m, n = M.dims[c], N.dims[c]
+        blk = flats[:, pos:pos + m * n]
+        pos += m * n
+        if right is not None:
+            r = right.tgt.dims[c]
+            prod = F.matmul(blk.reshape(nb * m, n), right.mats[c])
+            out.append(prod.reshape(nb, m * r))
+        else:
+            k = left.src.dims[c]
+            side = blk.reshape(nb, m, n).transpose(1, 0, 2).reshape(m, nb * n)
+            prod = F.matmul(left.mats[c], side)
+            out.append(
+                prod.reshape(k, nb, n).transpose(1, 0, 2).reshape(nb, k * n)
+            )
+    return np.concatenate(out, axis=1)
+
+
 def hom_space(M, N):
     """All module maps M -> N.
 
@@ -212,23 +245,25 @@ def hom_space(M, N):
     if nflat == 0:
         return [], F.zeros((0, 0))
     off = _flat_offsets(M, N)
+    # condition act_M[b] @ f[t] - f[s] @ act_N[b] = 0, one Python row per
+    # entry (i, j) over the unknowns f[t][k, j] and f[s][i, l]
     rows = []
     for b in range(A.dim):
         s, t = int(A.src[b]), int(A.tgt[b])
-        # condition: act_M[b] @ f[t] - f[s] @ act_N[b] = 0
-        blk = F.zeros((M.dims[int(A.src[b])] * N.dims[int(A.tgt[b])], nflat))
-        # express each linear condition as a row over the flat coordinates
-        # entry (i, j) of the condition block, unknowns f[t][k, j], f[s][i, l]
-        for i in range(M.dims[s]):
-            for j in range(N.dims[t]):
-                r = i * N.dims[t] + j
-                for k in range(M.dims[t]):
-                    blk[r, off[t] + k * N.dims[t] + j] += M.act[b][i, k]
-                for l in range(N.dims[s]):
-                    blk[r, off[s] + i * N.dims[s] + l] -= N.act[b][l, j]
-        rows.append(F.reduce(blk))
-    cond = np.concatenate(rows, axis=0) if rows else F.zeros((0, nflat))
-    sol = linalg.kernel(F, cond) if cond.shape[0] else F.eye(nflat)
+        am, an = M.act[b].tolist(), N.act[b].tolist()
+        ns, nt = N.dims[s], N.dims[t]
+        for i, arow in enumerate(am):
+            for j in range(nt):
+                row = [0] * nflat
+                for k, a in enumerate(arow):
+                    if a:
+                        row[off[t] + k * nt + j] += a
+                for l in range(ns):
+                    a = an[l][j]
+                    if a:
+                        row[off[s] + i * ns + l] -= a
+                rows.append(row)
+    sol = linalg.kernel(F, F.array(rows)) if rows else F.eye(nflat)
     sol = linalg.row_space(F, sol)
     maps = [map_from_flat(M, N, sol[i]) for i in range(sol.shape[0])]
     return maps, sol
@@ -734,34 +769,44 @@ def tau_inverse(M):
 # ---- endomorphisms and decomposition ------------------------------------
 
 
-def algebra_of_maps(F, ident, span, to_map, flat_of):
+def algebra_of_maps(F, span, to_map, blocks):
     """(Algebra E, list of maps matching its basis) for a space of
     endomorphisms closed under composition.
 
-    span's rows span the space in flat coordinates; to_map turns a flat
-    row into a map and flat_of a map into its row.  One idempotent class;
-    the identity `ident` is basis element 0.  Serves module maps and chain
-    maps alike.
+    span's rows span the space in flat coordinates: square blocks of the
+    sizes in `blocks`, one after another, each flattened row by row, and
+    a map composes blockwise.  Module maps have one block per class and
+    chain maps one per degree and class.  to_map turns a flat row into a
+    map.  One idempotent class; the identity, an identity matrix in
+    every block, is basis element 0.  All n^2 products of basis elements
+    take one matrix product per block, and their structure constants one
+    `Coords.of`.
     """
-    idflat = flat_of(ident).reshape(1, -1)
-    rest = linalg.complement(F, idflat, span)
-    basis_flat = np.concatenate([idflat, rest], axis=0)
-    n = basis_flat.shape[0]
-    basis_maps = [to_map(basis_flat[i]) for i in range(n)]
-    coords = linalg.Coords(F, basis_flat)
-    mult = F.zeros((n, n, n))
-    for i in range(n):
-        prods = np.stack(
-            [flat_of(basis_maps[i].compose(basis_maps[j])) for j in range(n)]
+    idflat = np.concatenate([F.eye(m).reshape(-1) for m in blocks])
+    rest = linalg.complement(F, idflat.reshape(1, -1), span)
+    basis = np.concatenate([idflat.reshape(1, -1), rest], axis=0)
+    n = basis.shape[0]
+    coords = linalg.Coords(F, basis)
+    prods = []
+    pos = 0
+    for m in blocks:
+        blk = basis[:, pos:pos + m * m].reshape(n, m, m)
+        pos += m * m
+        # row (i, a) times column (j, b) is entry (a, b) of blk[i] blk[j]
+        p = F.matmul(
+            blk.reshape(n * m, m), blk.transpose(1, 0, 2).reshape(m, n * m)
         )
-        block = coords.of(prods)
-        if block is None:
-            raise RuntimeError("endomorphism space not closed")
-        mult[i] = block
+        prods.append(
+            p.reshape(n, m, n, m).transpose(0, 2, 1, 3).reshape(n * n, m * m)
+        )
+    mult = coords.of(np.concatenate(prods, axis=1))
+    if mult is None:
+        raise RuntimeError("endomorphism space not closed")
     E = alg_mod.Algebra(
-        F, ["f%d" % i for i in range(n)], [0] * n, [0] * n, mult, [0], 1
+        F, ["f%d" % i for i in range(n)], [0] * n, [0] * n,
+        mult.reshape(n, n, n), [0], 1,
     )
-    return E, basis_maps
+    return E, [to_map(basis[i]) for i in range(n)]
 
 
 def end_algebra(M):
@@ -770,8 +815,7 @@ def end_algebra(M):
     One idempotent class; the identity endomorphism is basis element 0.
     """
     return algebra_of_maps(
-        M.field, identity_map(M), hom_space(M, M)[1],
-        lambda v: map_from_flat(M, M, v), ModuleMap.flat,
+        M.field, hom_space(M, M)[1], lambda v: map_from_flat(M, M, v), M.dims
     )
 
 

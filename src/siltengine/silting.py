@@ -139,23 +139,28 @@ class TorsionPair:
         """Total vectors spanning the largest H^0(P)-generated submodule.
 
         It is the span of x_k b for x in ker D_X and b in a basis of
-        e_{c_k} A, with x_k the image of generator k of P^0.
+        e_{c_k} A, with x_k the image of generator k of P^0.  The images
+        x_k of all generators of one class c are reduced to a basis of
+        their span, in X e_c, before they are multiplied.
         """
         F = self.field
         A = self.A
         ker, _ = self._ker_dx(X)
         if not ker.shape[0]:
             return F.zeros((0, X.total))
+        c0 = self.P.terms.get(0, [])
+        starts = np.cumsum([0] + [X.dims[c] for c in c0]).tolist()
         rows = []
-        start = 0
-        for c in self.P.terms.get(0, []):
-            xk = ker[:, start:start + X.dims[c]]
-            start += X.dims[c]
+        for c in sorted(set(c0)):
+            xs = linalg.row_space(F, np.concatenate(
+                [ker[:, starts[k]:starts[k + 1]]
+                 for k in range(len(c0)) if c0[k] == c], axis=0,
+            ))
             for b in np.flatnonzero(A.src == c):
                 t = int(A.tgt[b])
-                blk = F.zeros((ker.shape[0], X.total))
+                blk = F.zeros((xs.shape[0], X.total))
                 blk[:, X.offsets[t]:X.offsets[t + 1]] = F.matmul(
-                    xk, X.act[b]
+                    xs, X.act[b]
                 )
                 rows.append(blk)
         return linalg.row_space(F, np.concatenate(rows, axis=0))

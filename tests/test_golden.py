@@ -7,8 +7,10 @@ vertices, and whose `theorem` checks the comparison theorem on four
 vertices.  Its algebra file is written from the ladder recipe at run time;
 its complex, tests/golden/linear_a4.cpx, is `silt complete` of the seed
 complex P2 --x1--> P1.  They also cover the battery of linear A5
-(tests/golden/linear_a5.alg), the largest battery a case closes.  After a
-deliberate report change, rewrite them with
+(tests/golden/linear_a5.alg), the largest battery a case closes, and
+`check` and `endo` on linear A4 and A5, which read every Hom space of
+complexes and the chain endomorphism algebras.  After a deliberate report
+change, rewrite them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -21,7 +23,10 @@ complete` of P2 --x1--> P1); the linear-a5-theorem CI job compares against
 it under a time limit.  Nor are tests/golden/linear_a6-theorem.json, the
 same report on linear A6 (linear_a6.alg, linear_a6.cpx), and
 tests/golden/linear_a6-ar.txt, the text report of `ar` on it, which the
-linear-a6-theorem CI job compares against under a time limit.
+linear-a6-theorem CI job compares against under a time limit, nor
+tests/golden/linear_a8-theorem.json and linear_a8-endo.txt, the JSON
+`theorem` and text `endo` reports on linear A8 (linear_a8.alg,
+linear_a8.cpx), which the linear-a8-theorem CI job compares against.
 """
 
 import contextlib
@@ -85,9 +90,13 @@ def _cases():
     out.append(("linear_a4-ar.txt", ["ar", LINEAR_A4, cpx]))
     out.append(("linear_a4-theorem.json",
                 ["theorem", LINEAR_A4, cpx, "--report", "json"]))
+    a5_alg = os.path.join(GOLDEN, "linear_a5.alg")
+    a5_cpx = os.path.join(GOLDEN, "linear_a5.cpx")
     out.append(("linear_a5-battery.json",
-                ["battery", os.path.join(GOLDEN, "linear_a5.alg"),
-                 "--report", "json"]))
+                ["battery", a5_alg, "--report", "json"]))
+    for cmd in ("check", "endo"):
+        out.append(("linear_a4-%s.txt" % cmd, [cmd, LINEAR_A4, cpx]))
+        out.append(("linear_a5-%s.txt" % cmd, [cmd, a5_alg, a5_cpx]))
     return out
 
 

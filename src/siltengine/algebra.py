@@ -6,11 +6,14 @@ beta", and e_i A e_j is spanned by the paths from i to j.  Every basis
 element b is corner graded: e_src(b) * b = b = b * e_tgt(b).
 
 Idempotents are split off by factoring the minimal polynomial of an
-element.  Over GF(p) that is plain Python on int coefficient lists
-(square-free, distinct-degree and Cantor-Zassenhaus splitting); over Q it
-is sympy, imported only there.
+element, in plain Python on coefficient lists that serve both fields:
+square-free parts, then over GF(p) distinct-degree and Cantor-Zassenhaus
+splitting, and over Q Zassenhaus's algorithm (a split mod a prime,
+Hensel lifting and recombination by trial division over Z).
 """
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -23,8 +26,10 @@ class NotNilpotentError(RuntimeError):
     """Paths of the maximal length survive reduction by the relations."""
 
 
-class NonSplitError(RuntimeError):
-    """A semisimple quotient is not split over the ground field."""
+class SplitNotFoundError(ValueError):
+    """The seeded search for an element that splits an idempotent found
+    none.  That is no proof that the idempotent is primitive or that the
+    algebra is not split over the ground field."""
 
 
 class FieldTooSmallError(ValueError):
@@ -292,17 +297,29 @@ class Algebra:
         return corner.shape[0] - inter.shape[0] == 1
 
     def _split_idempotent(self, e, rng):
-        """A proper idempotent below e, or None if e is primitive."""
+        """A proper idempotent below e, or None if e is primitive.
+
+        A non-local corner eAe is searched for an element whose min poly
+        splits e; SplitNotFoundError when the seeded search finds none.
+        """
         corner = self.corner_subalgebra(e)
         if self._corner_is_local(corner):
             return None
-        for x in linalg.candidates(self.field, corner, rng, 48, eager=True):
+        ntrials = 48
+        for x in linalg.candidates(self.field, corner, rng, ntrials,
+                                   eager=True):
             u = split_by_min_poly(
                 self.field, x, self.lm(x), e, lambda a, b: self.el_mult(a, b)
             )
             if u is not None:
                 return u
-        raise NonSplitError("non-split semisimple quotient")
+        raise SplitNotFoundError(
+            "the seeded idempotent search found no splitting element in %d "
+            "trials (the %d basis elements of a non-local corner, then %d "
+            "random combinations); that does not show the algebra is "
+            "non-split over %r"
+            % (corner.shape[0] + ntrials, corner.shape[0], ntrials, self.field)
+        )
 
     def _idempotents_isomorphic(self, e, f, rng):
         """eA = fA: search u in eAf, v in fAe with uv = e and vu = f."""
@@ -403,10 +420,7 @@ def split_by_min_poly(F, x, op_matrix, unit, mult_fn):
     v*g = 1 mod f^m: it acts as 1 on ker f(x)^m and as 0 on ker g(x).
     """
     mp = operator_min_poly(F, op_matrix)
-    if isinstance(F, linalg.GF):
-        vg = _gf_idempotent_poly(mp, F.p)
-    else:
-        vg = _rational_idempotent_poly(mp)
+    vg = _idempotent_poly(mp, F.p if isinstance(F, linalg.GF) else None)
     if vg is None:
         return None
     e = _eval_poly_on_element(F, vg, x, mult_fn, unit)
@@ -417,92 +431,176 @@ def split_by_min_poly(F, x, op_matrix, unit, mult_fn):
     return e
 
 
-# ---- min polys over Q: sympy ---------------------------------------------
+# ---- min polys: Python coefficient lists, low to high, with no trailing
+# zeros (the zero polynomial is []).  Each helper takes a modulus p; p=None
+# means exact arithmetic over Q, as in `linalg.rref` --------------------------
 
 
-def _poly_to_sympy(coeffs):
-    """sympy Poly over QQ in z from Fraction coefficients, low to high."""
-    import sympy
-    from sympy.abc import z
+def _idempotent_poly(mp, p=None):
+    """Coefficients of v*g for a monic min poly mp over GF(p), or over Q
+    for p=None; None when mp is a power of one irreducible.
 
-    return sympy.Poly(
-        [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
-        z, domain="QQ",
-    )
-
-
-def _rational_idempotent_poly(mp):
-    """Coefficients (Fractions, low to high) of v*g for a rational min poly
-    mp, or None when mp is a power of one irreducible."""
-    import sympy
-
-    poly = _poly_to_sympy(mp)
-    _, factors = poly.factor_list()
-    if len(factors) < 2:
-        return None
-    f = factors[0][0] ** factors[0][1]
-    g = poly.quo(f)
-    _, v_poly, gc = sympy.gcdex(f, g)
-    if not gc.is_one:
-        return None
-    vg = (v_poly * g).rem(poly)
-    return [Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
-            for c in reversed(vg.all_coeffs())]
-
-
-# ---- min polys over GF(p): Python-int coefficient lists, low to high, with
-# no trailing zeros (the zero polynomial is []) ----------------------------
-
-
-def _gf_idempotent_poly(mp, p):
-    """Coefficients of v*g for a monic min poly mp over GF(p), or None when
-    mp is a power of one irreducible."""
-    factors = _gf_factor(mp, p)
+    With f^m the first factor in `_factor` order and g = mp / f^m, v*g is
+    1 mod f^m and 0 mod g and has degree below deg mp, which makes it
+    unique whatever the scaling of f.
+    """
+    factors = _factor(mp, p)
     if len(factors) < 2:
         return None
     h, m = factors[0]
     f = [1]
     for _ in range(m):
-        f = _gf_mul(f, h, p)
-    g = _gf_divmod(mp, f, p)[0]
-    return _gf_mul(_gf_inverse_mod(g, f, p), g, p)
+        f = _poly_mul(f, h, p)
+    g = _poly_divmod(mp, f, p)[0]
+    return _poly_mul(_poly_inverse_mod(g, f, p), g, p)
 
 
-def _gf_factor(f, p):
-    """Monic irreducible factors of a monic f with their multiplicities,
-    in the order of sympy's `factor_list`: by degree, then multiplicity,
-    then coefficient list high to low.
+def _factor(f, p=None):
+    """Irreducible factors of a monic f with their multiplicities, in the
+    order of sympy's `factor_list`: by degree, then multiplicity, then
+    coefficient list high to low.
 
-    Square-free, distinct-degree and equal-degree (Cantor-Zassenhaus)
-    splitting; the last draws from its own Random(0), so the result and
-    its cost are deterministic.
+    Each square-free part is split over GF(p) into monic factors by
+    distinct-degree and equal-degree (Cantor-Zassenhaus) splitting, and
+    over Q into primitive integer factors with positive leading
+    coefficient by Zassenhaus's algorithm.  The random splits draw from
+    one Random(0), so the result and its cost are deterministic.
     """
     rng = random.Random(0)
     out = []
-    for g, m in _gf_sqf_list(f, p):
-        for h, d in _gf_ddf(g, p):
-            out += [(q, m) for q in _gf_edf(h, d, p, rng)]
+    for g, m in _sqf_list(f, p):
+        irr = _gf_split(g, p, rng) if p else _zz_factor(_primitive(g), rng)
+        out += [(h, m) for h in irr]
     return sorted(out, key=lambda t: (len(t[0]), t[1], t[0][::-1]))
 
 
-def _gf_sqf_list(f, p):
-    """[(g, m)]: f is the product of the g^m, each g square-free, monic
-    and of positive degree, the g pairwise coprime."""
+def _sqf_list(f, p=None):
+    """[(g, m)]: the monic f is the product of the g^m, each g square-free,
+    monic and of positive degree, the g pairwise coprime."""
     out = []
-    c = _gf_gcd(f, _gf_trim([i * a % p for i, a in enumerate(f)][1:]), p)
-    w = _gf_divmod(f, c, p)[0]
+    c = _poly_gcd(f, _derivative(f, p), p)
+    w = _poly_divmod(f, c, p)[0]
     m = 1
     while len(w) > 1:
-        y = _gf_gcd(w, c, p)
-        fac = _gf_divmod(w, y, p)[0]
+        y = _poly_gcd(w, c, p)
+        fac = _poly_divmod(w, y, p)[0]
         if len(fac) > 1:
             out.append((fac, m))
-        w, c, m = y, _gf_divmod(c, y, p)[0], m + 1
+        w, c, m = y, _poly_divmod(c, y, p)[0], m + 1
     if len(c) > 1:
-        # what is left has multiplicities divisible by p: c = r(z)^p with
-        # r read off every p-th coefficient, as a^p = a in GF(p)
-        out += [(g, k * p) for g, k in _gf_sqf_list(c[::p], p)]
+        # only in characteristic p: what is left has multiplicities
+        # divisible by p, c = r(z)^p with r read off every p-th
+        # coefficient, as a^p = a in GF(p)
+        out += [(g, k * p) for g, k in _sqf_list(c[::p], p)]
     return out
+
+
+# ---- over Q: Zassenhaus on primitive integer polynomials -------------------
+
+
+def _primitive(f):
+    """The primitive integer multiple of a nonzero rational f with positive
+    leading coefficient."""
+    den = math.lcm(*(Fraction(c).denominator for c in f))
+    g = [int(c * den) for c in f]
+    cont = math.gcd(*g)
+    if g[-1] < 0:
+        cont = -cont
+    return [c // cont for c in g]
+
+
+def _zz_factor(f, rng):
+    """Irreducible factors over Z of a square-free primitive f with positive
+    leading coefficient (Zassenhaus).
+
+    The first prime p that does not divide lc(f) and leaves f square-free
+    mod p splits f mod p; the monic factors are Hensel-lifted
+    mod a power q of p beyond 2 lc(f) 2^n |f|_2, which bounds every
+    coefficient of lc(f) / lc(h) * h for a factor h of f (Mignotte).  So
+    each factor is lc(f) times a product of lifts, read in symmetric
+    residues mod q and made primitive; subsets of the lifts are tried by
+    size, each by trial division over Z.
+    """
+    if len(f) == 2:
+        return [f]
+    p = 1
+    while True:
+        p += 1
+        if f[-1] % p and linalg.is_prime(p):
+            fp = _poly_monic([c % p for c in f], p)
+            if len(_poly_gcd(fp, _derivative(fp, p), p)) == 1:
+                break
+    mod_p = _gf_split(fp, p, rng)
+    if len(mod_p) == 1:
+        return [f]
+    norm = math.isqrt(sum(c * c for c in f)) + 1
+    bound = 2 * f[-1] * 2 ** (len(f) - 1) * norm
+    q = p
+    while q <= bound:
+        q *= p
+    lifts = _hensel_lift(f, mod_p, p, q)
+    out, size = [], 1
+    while 2 * size <= len(lifts):
+        for sub in itertools.combinations(range(len(lifts)), size):
+            h = [f[-1]]
+            for i in sub:
+                h = _poly_mul(h, lifts[i], q)
+            h = _primitive([c - q if 2 * c > q else c for c in h])
+            quo, rem = _poly_divmod(f, h)
+            if not rem:
+                out.append(h)
+                f = [int(c) for c in quo]
+                lifts = [g for i, g in enumerate(lifts) if i not in sub]
+                break
+        else:
+            size += 1
+    return out + [f]
+
+
+def _hensel_lift(f, facs, p, q):
+    """Monic lifts mod q, a power of p, of the pairwise coprime monic
+    factors facs of f mod p, where f = lc(f) * prod(facs) mod p: then f
+    is lc(f) times the product of the lifts mod q.
+
+    The factors are split in halves g (with lc(f)) and h; s*g + t*h = 1
+    mod p, and quadratic Hensel steps (von zur Gathen and Gerhard,
+    Algorithm 15.10) lift the four mod m^2 until m >= q.  Each half is
+    then lifted on its own.
+    """
+    if len(facs) == 1:
+        return [_poly_monic(f, q)]
+    k = len(facs) // 2
+    g = [f[-1] % p]
+    for a in facs[:k]:
+        g = _poly_mul(g, a, p)
+    h = [1]
+    for a in facs[k:]:
+        h = _poly_mul(h, a, p)
+    t = _poly_inverse_mod(h, g, p)
+    s = _poly_divmod(_poly_sub([1], _poly_mul(t, h, p), p), g, p)[0]
+    m = p
+    while m < q:
+        m *= m
+        e = _poly_sub(f, _poly_mul(g, h, m), m)
+        u, r = _poly_divmod(_poly_mul(s, e, m), h, m)
+        g = _poly_add(
+            g, _poly_add(_poly_mul(t, e, m), _poly_mul(u, g, m), m), m)
+        h = _poly_add(h, r, m)
+        b = _poly_sub(
+            _poly_add(_poly_mul(s, g, m), _poly_mul(t, h, m), m), [1], m)
+        c, d = _poly_divmod(_poly_mul(s, b, m), h, m)
+        s = _poly_sub(s, d, m)
+        t = _poly_sub(
+            t, _poly_add(_poly_mul(t, b, m), _poly_mul(c, g, m), m), m)
+    return _hensel_lift(g, facs[:k], p, q) + _hensel_lift(h, facs[k:], p, q)
+
+
+# ---- over GF(p): distinct-degree and equal-degree splitting ----------------
+
+
+def _gf_split(f, p, rng):
+    """Monic irreducible factors of a square-free monic f over GF(p)."""
+    return [q for h, d in _gf_ddf(f, p) for q in _gf_edf(h, d, p, rng)]
 
 
 def _gf_ddf(f, p):
@@ -513,11 +611,11 @@ def _gf_ddf(f, p):
     while len(f) - 1 >= 2 * (d + 1):
         d += 1
         h = _gf_powmod(h, p, f, p)  # z^(p^d) mod f
-        g = _gf_gcd(f, _gf_sub(h, [0, 1], p), p)
+        g = _poly_gcd(f, _poly_sub(h, [0, 1], p), p)
         if len(g) > 1:
             out.append((g, d))
-            f = _gf_divmod(f, g, p)[0]
-            h = _gf_divmod(h, f, p)[1]
+            f = _poly_divmod(f, g, p)[0]
+            h = _poly_divmod(h, f, p)[1]
     if len(f) > 1:
         out.append((f, len(f) - 1))
     return out
@@ -532,87 +630,120 @@ def _gf_edf(f, d, p, rng):
     if n == d:
         return [f]
     while True:
-        a = _gf_trim([rng.randrange(p) for _ in range(n)])
+        a = _trim([rng.randrange(p) for _ in range(n)])
         if p == 2:
             b = t = a
             for _ in range(d - 1):
-                t = _gf_divmod(_gf_mul(t, t, p), f, p)[1]
-                b = _gf_sub(b, t, p)  # b + t in characteristic 2
+                t = _poly_divmod(_poly_mul(t, t, p), f, p)[1]
+                b = _poly_sub(b, t, p)  # b + t in characteristic 2
         else:
-            b = _gf_sub(_gf_powmod(a, (p ** d - 1) // 2, f, p), [1], p)
-        g = _gf_gcd(f, b, p)
+            b = _poly_sub(_gf_powmod(a, (p ** d - 1) // 2, f, p), [1], p)
+        g = _poly_gcd(f, b, p)
         if 1 < len(g) < len(f):
             return (_gf_edf(g, d, p, rng)
-                    + _gf_edf(_gf_divmod(f, g, p)[0], d, p, rng))
+                    + _gf_edf(_poly_divmod(f, g, p)[0], d, p, rng))
 
 
-def _gf_trim(a):
+def _gf_powmod(a, e, m, p):
+    """a^e mod m, by squaring."""
+    out, a = [1], _poly_divmod(a, m, p)[1]
+    while e:
+        if e & 1:
+            out = _poly_divmod(_poly_mul(out, a, p), m, p)[1]
+        e >>= 1
+        a = _poly_divmod(_poly_mul(a, a, p), m, p)[1]
+    return out
+
+
+# ---- coefficient-list arithmetic mod p (any modulus with the leading
+# coefficients involved invertible), or exact over Q for p=None -------------
+
+
+def _trim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
 
 
-def _gf_sub(a, b, p):
-    n = max(len(a), len(b))
-    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
-    return _gf_trim([(x - y) % p for x, y in zip(a, b)])
+def _inverse(a, p):
+    return pow(a, -1, p) if p else Fraction(1) / a
 
 
-def _gf_mul(a, b, p):
+def _reduce(a, p):
+    return _trim([x % p for x in a] if p else a)
+
+
+def _poly_scale(a, c, p):
+    return _reduce([x * c for x in a], p)
+
+
+def _poly_monic(a, p):
+    return _poly_scale(a, _inverse(a[-1], p), p)
+
+
+def _derivative(a, p):
+    return _reduce([i * x for i, x in enumerate(a)][1:], p)
+
+
+def _poly_add(a, b, p=None):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] += y
+    return _reduce(out, p)
+
+
+def _poly_sub(a, b, p=None):
+    return _poly_add(a, [-y for y in b], p)
+
+
+def _poly_mul(a, b, p=None):
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
-    return [c % p for c in out]
+    return _reduce(out, p)
 
 
-def _gf_divmod(a, b, p):
+def _poly_divmod(a, b, p=None):
     """(q, r) with a = q*b + r and deg r < deg b; b nonzero."""
     r = list(a)
     nb = len(b)
-    inv = pow(b[-1], p - 2, p)
+    inv = _inverse(b[-1], p)
     q = [0] * max(len(a) - nb + 1, 0)
     for k in range(len(q) - 1, -1, -1):
-        c = r[k + nb - 1] * inv % p
+        c = r[k + nb - 1] * inv % p if p else r[k + nb - 1] * inv
         q[k] = c
-        for j, y in enumerate(b):
-            r[k + j] = (r[k + j] - c * y) % p
-    return q, _gf_trim(r[:nb - 1])
+        if p:
+            for j, y in enumerate(b):
+                r[k + j] = (r[k + j] - c * y) % p
+        else:
+            for j, y in enumerate(b):
+                r[k + j] -= c * y
+    return q, _trim(r[:nb - 1])
 
 
-def _gf_gcd(a, b, p):
+def _poly_gcd(a, b, p=None):
     """Monic gcd; gcd(a, 0) is a made monic."""
     while b:
-        a, b = b, _gf_divmod(a, b, p)[1]
-    inv = pow(a[-1], p - 2, p)
-    return [c * inv % p for c in a]
+        a, b = b, _poly_divmod(a, b, p)[1]
+    return _poly_monic(a, p)
 
 
-def _gf_powmod(a, e, m, p):
-    """a^e mod m, by squaring."""
-    out, a = [1], _gf_divmod(a, m, p)[1]
-    while e:
-        if e & 1:
-            out = _gf_divmod(_gf_mul(out, a, p), m, p)[1]
-        e >>= 1
-        a = _gf_divmod(_gf_mul(a, a, p), m, p)[1]
-    return out
-
-
-def _gf_inverse_mod(g, f, p):
+def _poly_inverse_mod(g, f, p=None):
     """t with t*g = 1 mod f and deg t < deg f, for coprime g and f, by the
     extended Euclidean algorithm: each remainder r_i = t_i * g mod f, and
     the last nonzero one is the constant gcd."""
-    r0, r1 = f, _gf_divmod(g, f, p)[1]
+    r0, r1 = f, _poly_divmod(g, f, p)[1]
     t0, t1 = [], [1]
     while r1:
-        q, r = _gf_divmod(r0, r1, p)
+        u, r = _poly_divmod(r0, r1, p)
         r0, r1 = r1, r
-        t0, t1 = t1, _gf_sub(t0, _gf_mul(q, t1, p), p)
-    inv = pow(r0[0], p - 2, p)
-    return [c * inv % p for c in t0]
+        t0, t1 = t1, _poly_sub(t0, _poly_mul(u, t1, p), p)
+    return _poly_scale(t0, _inverse(r0[0], p), p)
 
 
 # ---- quiver presentation build ------------------------------------------

@@ -77,7 +77,7 @@ def connecting_sequence(ctx, i):
     # canonical sequence of E in the torsion pair over B
     tE, _, fE, _ = ctx.torsion_B.canonical_sequence(E)
     Pi = mod.projective_module(A, i)
-    radPi, _ = mod.submodule(Pi, mod.radical_vectors(Pi), closed=True)
+    radPi, _ = mod.submodule(Pi, mod.radical_vectors(Pi))
     nuPi = mod.injective_module(A, i)
     nuQuot, _ = mod.quotient_module(nuPi, mod.socle_vectors(nuPi))
     want_t = ctx.hom_P_of(radPi, 1).module

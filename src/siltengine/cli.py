@@ -42,11 +42,7 @@ def _fail(lineno, msg):
 def parse_field(text):
     """'Q' or a prime characteristic as decimal digits."""
     if text == "Q":
-        try:
-            return linalg.RationalField()
-        except ImportError:
-            raise ParseError("field Q needs sympy, which is not installed") \
-                from None
+        return linalg.RationalField()
     if text.isdigit():
         try:
             return linalg.GF(int(text))
@@ -590,7 +586,7 @@ def main(argv=None):
         sys.stderr.write("error: %s\n" % exc)
         return 1
     except (silting.PreconditionError, alg_mod.NotNilpotentError,
-            alg_mod.FieldTooSmallError) as exc:
+            alg_mod.FieldTooSmallError, alg_mod.SplitNotFoundError) as exc:
         sys.stderr.write("precondition: %s\n" % exc)
         return 2
     except RuntimeError as exc:

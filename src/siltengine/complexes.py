@@ -66,7 +66,7 @@ class ModuleComplex:
         """H^i as a Module (with the inclusion data discarded)."""
         X = self.term(i)
         kv = mod.kernel_vectors(self.dmap(i))
-        K, incl = mod.submodule(X, kv, closed=True)
+        K, incl = mod.submodule(X, kv)
         if (i - 1) not in self.terms:
             return K
         imv = mod.image_vectors(self.dmap(i - 1))
@@ -307,14 +307,28 @@ class HomSpace:
         """Class coordinates of a chain map over class_basis, mod homotopy."""
         return self.coords_of(self.flat_of(f).reshape(1, -1))[0]
 
-    def induced(self, fn, tgt):
-        """Matrix whose row r is tgt's class coordinates of
-        fn(class_map(r)), for a map fn from self's chain maps to tgt's."""
+    def induced(self, tgt, left=None, right=None):
+        """Matrix whose row r is tgt's class coordinates of left then
+        class_map(r), for a chain map left : tgt.X -> X, or of class_map(r)
+        then right, for right : Y -> tgt.Y; give exactly one of the two.
+
+        Each degree composes all class rows with one `compose_flats`.
+        """
+        if (left is None) == (right is None):
+            raise ValueError("give exactly one of left and right")
+        F = self.field
         if self.dim == 0:
-            return self.field.zeros((0, tgt.dim))
-        return tgt.coords_of(np.stack(
-            [tgt.flat_of(fn(self.class_map(r))) for r in range(self.dim)]
-        ))
+            return F.zeros((0, tgt.dim))
+        side, g = ("left", left) if right is None else ("right", right)
+        flats = F.zeros((self.dim, tgt.nflat))
+        for d, (lo, hi) in tgt._slot.items():
+            if d in self._slot and d in g.maps:
+                a, b = self._slot[d]
+                flats[:, lo:hi] = mod.compose_flats(
+                    self.class_basis[:, a:b], self.X.term(d), self.Y.term(d),
+                    **{side: g.maps[d]}
+                )
+        return tgt.coords_of(flats)
 
     def class_map(self, i):
         return self.map_from_flat(self.class_basis[i])
@@ -702,7 +716,7 @@ def _standardize_summand(mc, emap):
     incls = {}
     for d in mc.terms:
         imv = mod.image_vectors(emap.map_at(d))
-        terms[d], incls[d] = mod.submodule(mc.term(d), imv, closed=True)
+        terms[d], incls[d] = mod.submodule(mc.term(d), imv)
     # the differential of the image complex, retracted through the inclusion
     dmaps = {
         d: retract_through_inclusion(

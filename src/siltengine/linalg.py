@@ -31,9 +31,9 @@ action matrices the engine multiplies.
 `candidates` is the engine's one seeded search: the rows of a basis, then
 random combinations of them, with every random coefficient drawn there.
 
-GF(p) needs nothing beyond numpy: its primality check is trial division.
-Building a `RationalField` imports sympy, which factors min polys over Q
-(see `algebra`).
+Neither field needs more than numpy and the standard library: GF(p)'s
+primality check is trial division, and min polys are factored over both
+fields in plain Python (see `algebra`).
 """
 
 from fractions import Fraction
@@ -112,11 +112,6 @@ class GF:
 
 class RationalField:
     """Arbitrary-precision rationals via Fraction object arrays."""
-
-    def __init__(self):
-        # min polys over Q are factored by sympy; importing it with the
-        # field puts its cost in parsing, not in the first idempotent split
-        import sympy  # noqa: F401
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

@@ -340,9 +340,14 @@ def _build_projective(A, c):
 
 
 def simple_module(A, c):
-    P = projective_module(A, c)
-    radv = radical_vectors(P)
-    return quotient_module(P, radv)[0]
+    """e_c A / e_c rad A, built once per (A, c) and kept on A like
+    `projective_module`."""
+    if getattr(A, "_simple_cache", None) is None:
+        A._simple_cache = {}
+    if c not in A._simple_cache:
+        P = projective_module(A, c)
+        A._simple_cache[c] = quotient_module(P, radical_vectors(P))[0]
+    return A._simple_cache[c]
 
 
 def injective_module(A, c):
@@ -462,20 +467,17 @@ def close_under_action(M, vectors):
         cur = new
 
 
-def submodule(M, vectors, closed=False):
-    """(S, inclusion) for the submodule generated by total vectors."""
+def submodule(M, vectors):
+    """(S, inclusion) for the submodule spanned by total vectors, whose
+    span must already be action invariant."""
     F = M.field
-    if not closed:
-        vecs = close_under_action(M, vectors)
-    else:
-        vecs = (
-            linalg.row_space(
-                F,
-                np.stack([np.asarray(v).reshape(-1) for v in vectors], axis=0),
-            )
-            if len(vectors)
-            else F.zeros((0, M.total))
+    vecs = (
+        linalg.row_space(
+            F, np.stack([np.asarray(v).reshape(-1) for v in vectors], axis=0)
         )
+        if len(vectors)
+        else F.zeros((0, M.total))
+    )
     pieces = graded_pieces_of_span(M, vecs)
     dims = [p.shape[0] for p in pieces]
     act = []
@@ -729,7 +731,7 @@ def min_resolution(M, length):
     psums, maps, cover = M._resolution
     while len(maps) < length:
         kv = kernel_vectors(maps[-1] if maps else cover)
-        K, incl = submodule(psums[-1].module, kv, closed=True)
+        K, incl = submodule(psums[-1].module, kv)
         P, kc = projective_cover(K)
         maps.append(kc.compose(incl))
         psums.append(P)
@@ -853,7 +855,7 @@ def _split_off(M, emap):
     """(image of an idempotent endomorphism, inclusion, retraction)."""
     F = M.field
     imv = image_vectors(emap)
-    S, incl = submodule(M, imv, closed=True)
+    S, incl = submodule(M, imv)
     # retraction: apply e, then express in the image basis, per class
     pmats = []
     for c in range(M.A.nclasses):

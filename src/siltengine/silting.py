@@ -198,7 +198,7 @@ class TorsionPair:
 
     def torsion_part(self, X):
         """(tX, inclusion) for the canonical torsion submodule."""
-        return mod.submodule(X, self.trace_vectors(X), closed=True)
+        return mod.submodule(X, self.trace_vectors(X))
 
     @functools.cached_property
     def tnuA(self):
@@ -227,7 +227,7 @@ class TorsionPair:
     def canonical_sequence(self, X):
         """(tX, incl, X/tX, proj), with both memberships asserted."""
         tv = self.trace_vectors(X)
-        tX, incl = mod.submodule(X, tv, closed=True)
+        tX, incl = mod.submodule(X, tv)
         Q, proj = mod.quotient_module(X, tv)
         if not self.in_torsion(tX) or not self.in_free(Q):
             raise RuntimeError("canonical sequence ends misclassified")
@@ -353,8 +353,10 @@ def minimal_approximation(endp, X, side):
                     rep = endp.corner_rep(radB[r], j, i)
                 if rep is None:
                     continue
-                fn = (lambda phi: phi.compose(rep)) if left else rep.compose
-                blocks.append(V[j].induced(fn, V[i]))
+                blocks.append(
+                    V[j].induced(V[i], right=rep) if left
+                    else V[j].induced(V[i], left=rep)
+                )
         radimg = (
             linalg.row_space(F, np.concatenate(blocks, axis=0))
             if blocks
@@ -672,7 +674,7 @@ class HomPModule:
         B = ctx.B
         act = [
             self.spaces[int(B.src[b])].induced(
-                ctx.reps[b].compose, self.spaces[int(B.tgt[b])]
+                self.spaces[int(B.tgt[b])], left=ctx.reps[b]
             )
             for b in range(B.dim)
         ]
@@ -687,8 +689,7 @@ def hom_P_map(ctx, src_h, tgt_h, alpha):
     alpha is a chain map src_h.Ysh -> tgt_h.Ysh (already shifted).
     """
     mats = [
-        src_h.spaces[i].induced(lambda phi: phi.compose(alpha),
-                                tgt_h.spaces[i])
+        src_h.spaces[i].induced(tgt_h.spaces[i], right=alpha)
         for i in range(ctx.n)
     ]
     return mod.ModuleMap(src_h.module, tgt_h.module, mats)
@@ -715,7 +716,7 @@ class QHomModule:
         self.Nsh = cx.stalk_complex(N).shift(shift)
         self.V = cx.HomSpace(ctx.Q_mod, self.Nsh)
         self.ops = [
-            self.V.induced(psi.compose, self.V) for psi in ctx.phi_chain
+            self.V.induced(self.V, left=psi) for psi in ctx.phi_chain
         ]
         self.pieces = [
             linalg.row_space(F, self.ops[A.idem[c]]) for c in range(A.nclasses)
@@ -753,7 +754,7 @@ def q_hom_map(ctx, src_q, tgt_q, w):
     F = ctx.field
     d = -src_q.shift
     alpha = cx.ChainMap(src_q.Nsh, tgt_q.Nsh, {d: w})
-    raw = src_q.V.induced(lambda phi: phi.compose(alpha), tgt_q.V)
+    raw = src_q.V.induced(tgt_q.V, right=alpha)
     mats = [
         tgt_q.piece_rows(
             c, F.matmul(src_q.pieces[c], raw),
@@ -904,7 +905,7 @@ def module_battery(A, torsion=None, max_dim=30, cap=60, seed=0, rounds=8):
     for _ in range(rounds):
         before = len(items)
         for M in items[unary_done:before]:
-            add(mod.submodule(M, mod.radical_vectors(M), closed=True)[0])
+            add(mod.submodule(M, mod.radical_vectors(M))[0])
             add(mod.quotient_module(M, mod.socle_vectors(M))[0])
             add_tau(M)
         unary_done = before
@@ -983,7 +984,7 @@ def torsion_resolution(ctx, X, variant):
         T0, big, parts = _approximation(tp.h0, X, "right")
         if not big.is_surjective():
             raise RuntimeError("torsion approximation is not surjective")
-        L, incl = mod.submodule(T0, mod.kernel_vectors(big), closed=True)
+        L, incl = mod.submodule(T0, mod.kernel_vectors(big))
         middle_ok = all(p is tp.h0 for p in parts) and tp.in_torsion(L)
         return L, T0, X, incl, big, middle_ok
     if variant == "tcogen":
@@ -1015,7 +1016,7 @@ def torsion_resolution(ctx, X, variant):
                 raise RuntimeError("cover does not factor through F0")
             gmats.append(x)
         g = mod.ModuleMap(F0, X, gmats)
-        L, incl = mod.submodule(F0, mod.kernel_vectors(g), closed=True)
+        L, incl = mod.submodule(F0, mod.kernel_vectors(g))
         middle_ok = (
             _in_add(F0, tp.summands_of(tp.AtA, rng), rng) and tp.in_free(L)
         )

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -231,8 +232,9 @@ def test_min_poly_random_annihilates():
         assert coeffs[-1] == 1
 
 
-# ---- products, associativity, sympy polys and idempotent candidates against
-# the dense and eager forms they replaced, kept here as references ----------
+# ---- products, associativity and idempotent candidates against the dense
+# and eager forms they replaced, kept here as references; min polys against
+# sympy, which the tests keep as an oracle ----------------------------------
 
 FIELDS = [F, QQ]
 FIELD_IDS = ["GF32003", "Q"]
@@ -257,14 +259,18 @@ def _ref_check_associative(A):
     return bool(np.all(A.field.reduce(lhs - rhs) == 0))
 
 
-def _ref_poly_to_sympy(F, coeffs):
+def _sympy_poly(F, coeffs):
+    """sympy Poly in z from field scalars, low to high."""
     from sympy.abc import z
 
-    expr = sum(sympy.Integer(0) + sympy.nsimplify(c) * z**i
-               for i, c in enumerate(coeffs))
+    high_to_low = list(reversed(coeffs))
     if isinstance(F, linalg.GF):
-        return sympy.Poly(expr, z, modulus=F.p, symmetric=False)
-    return sympy.Poly(expr, z, domain="QQ")
+        return sympy.Poly([int(c) for c in high_to_low], z,
+                          modulus=F.p, symmetric=False)
+    return sympy.Poly(
+        [sympy.Rational(c.numerator, c.denominator) for c in high_to_low],
+        z, domain="QQ",
+    )
 
 
 def _ref_candidates(A, e, rng):
@@ -292,7 +298,7 @@ def _ref_split_idempotent(A, e, rng):
             A.field, x, _ref_lm(A, x), e, lambda a, b: _ref_el_mult(A, a, b))
         if u is not None:
             return u
-    raise algebra.NonSplitError("non-split semisimple quotient")
+    raise algebra.SplitNotFoundError("no splitting element found")
 
 
 def _ref_idempotents_isomorphic(A, e, f, rng):
@@ -352,7 +358,9 @@ def matrix_span_algebra(field, mats):
 # M_2 on a basis whose non-identity members have minimal polynomials
 # z^2 + 1, z^2 - 2 and z^2 - z + 1, irreducible over GF(32003): only the
 # random combinations can split 1.  Over Q a random combination almost
-# never has a split minimal polynomial, so the Q basis ends in E22.
+# never has a split minimal polynomial, so the search refuses that basis
+# (see test_split_search_over_q_refuses_without_a_verdict) and the Q basis
+# ends in E22.
 M2_IRREDUCIBLE_BASIS = [
     [[1, 0], [0, 1]], [[0, 1], [-1, 0]], [[0, 1], [2, 0]], [[1, 1], [-1, 0]],
 ]
@@ -445,8 +453,32 @@ def test_matrix_span_algebras_split_as_expected():
         assert [len(g) for g in groups] == sizes
 
 
-@pytest.mark.parametrize("field", [QQ], ids=["Q"])
-def test_poly_to_sympy_equals_nsimplify_form(field):
+def test_split_search_over_q_refuses_without_a_verdict():
+    """M_2(Q) is split, but no basis element and no random combination of
+    M2_IRREDUCIBLE_BASIS has a reducible min poly: the search gives up and
+    says so, without claiming the algebra does not split."""
+    A = matrix_span_algebra(QQ, M2_IRREDUCIBLE_BASIS)
+    with pytest.raises(algebra.SplitNotFoundError) as info:
+        A.decompose_identity()
+    msg = str(info.value)
+    assert "seeded idempotent search" in msg and "52 trials" in msg
+    assert "does not show the algebra is non-split over QQ" in msg
+    assert not isinstance(info.value, RuntimeError)
+
+
+def _sympy_factors(F, coeffs):
+    """sympy's `factor_list` of a monic polynomial, as (coefficients low to
+    high, multiplicity) pairs: monic over GF(p), primitive integer over Q."""
+    poly = _sympy_poly(F, coeffs)
+    return [([int(c) for c in reversed(g.all_coeffs())], m)
+            for g, m in poly.factor_list()[1]]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_factor_equals_sympy_on_min_polys(field):
+    """The min poly of every basis element of every test algebra, and some
+    random monic polys, factor as sympy factors them, in its order."""
+    p = field.p if isinstance(field, GF) else None
     rng = random.Random(11)
     cases = [[field.rand(rng) for _ in range(n)] + [1] for n in range(6)]
     cases += [[0, 0, 1], [1, 1], [0, 1]]
@@ -455,10 +487,7 @@ def test_poly_to_sympy_equals_nsimplify_form(field):
             cases.append(algebra.operator_min_poly(field, A.lm(A.basis_vec(b))))
     for coeffs in cases:
         coeffs = algebra._normalize_poly(field, coeffs)
-        got = algebra._poly_to_sympy(coeffs)
-        want = _ref_poly_to_sympy(field, coeffs)
-        assert got == want
-        assert got.factor_list() == want.factor_list()
+        assert algebra._factor(coeffs, p) == _sympy_factors(field, coeffs)
 
 
 # ---- idempotents from min polys against the sympy body they replaced over
@@ -466,27 +495,13 @@ def test_poly_to_sympy_equals_nsimplify_form(field):
 
 
 def _ref_split_by_min_poly(F, x, op_matrix, unit, mult_fn):
-    from fractions import Fraction
-
-    from sympy.abc import z
-
-    def to_sympy(coeffs):
-        high_to_low = list(reversed(coeffs))
-        if isinstance(F, linalg.GF):
-            return sympy.Poly([int(c) for c in high_to_low], z,
-                              modulus=F.p, symmetric=False)
-        return sympy.Poly(
-            [sympy.Rational(c.numerator, c.denominator) for c in high_to_low],
-            z, domain="QQ",
-        )
-
     def scalar(c):
         if isinstance(F, linalg.GF):
             return int(c) % F.p
         return Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
 
     mp = algebra.operator_min_poly(F, op_matrix)
-    poly = to_sympy(mp)
+    poly = _sympy_poly(F, mp)
     _, factors = poly.factor_list()
     if len(factors) < 2:
         return None
@@ -518,26 +533,30 @@ def _same_split(F, x, op_matrix, unit, mult_fn):
 
 def test_split_by_min_poly_equals_sympy_on_every_candidate():
     """Every candidate the splitting search draws, on every idempotent the
-    decomposition meets, gives the same idempotent or None."""
-    tried = 0
-    for A, seed in itertools.product(_algebras(F), range(3)):
-        rng = random.Random(seed)
-        mult = functools.partial(_ref_el_mult, A)
-        stack = [A.idem_vec(c) for c in range(A.nclasses)]
-        while stack:
-            e = stack.pop(0)
-            candidates = _ref_candidates(A, e, rng)
-            if candidates is None:
-                continue
-            first = None
-            for x in candidates:
-                assert _same_split(F, x, _ref_lm(A, x), e, mult)
-                if first is None:
-                    first = algebra.split_by_min_poly(F, x, A.lm(x), e, mult)
-                tried += 1
-            assert first is not None
-            stack = [first, F.reduce(e - first)] + stack
-    assert tried == 465
+    decomposition meets, gives the same idempotent or None, over GF(32003)
+    and over Q."""
+    tried = {}
+    for field in FIELDS:
+        tried[field] = 0
+        for A, seed in itertools.product(_algebras(field), range(3)):
+            rng = random.Random(seed)
+            mult = functools.partial(_ref_el_mult, A)
+            stack = [A.idem_vec(c) for c in range(A.nclasses)]
+            while stack:
+                e = stack.pop(0)
+                candidates = _ref_candidates(A, e, rng)
+                if candidates is None:
+                    continue
+                first = None
+                for x in candidates:
+                    assert _same_split(field, x, _ref_lm(A, x), e, mult)
+                    if first is None:
+                        first = algebra.split_by_min_poly(
+                            field, x, A.lm(x), e, mult)
+                    tried[field] += 1
+                assert first is not None
+                stack = [first, field.reduce(e - first)] + stack
+    assert tried == {F: 465, QQ: 309}
 
 
 def _companion(F, coeffs):
@@ -581,7 +600,63 @@ def test_gf_factor_and_split_equal_sympy_on_random_polys(p):
                           symmetric=False)
         want = [([int(c) % p for c in reversed(g.all_coeffs())], m)
                 for g, m in poly.factor_list()[1]]
-        assert algebra._gf_factor(coeffs, p) == want
+        assert algebra._factor(coeffs, p) == want
         m = _companion(field, coeffs)
         assert _same_split(field, m, m, field.eye(len(coeffs) - 1),
                            field.matmul)
+
+
+# z^4 - 10 z^2 + 1, the min poly of sqrt 2 + sqrt 3, is irreducible over Q
+# but splits mod every prime, so its factors mod p must be recombined
+SWINNERTON_DYER = [1, 0, -10, 0, 1]
+Q_POLYS = [
+    SWINNERTON_DYER,
+    [-2, 0, 1], [1, 1, 1], [-2, 0, 0, 1], [1, -1, 0, 1],  # irreducible
+    [2, 0, -3, 0, 1],  # (z^2 - 1)(z^2 - 2)
+    [-1, 0, 0, 0, 0, 0, 1],  # z^6 - 1
+    [0, 0, 0, 1],  # z^3
+]
+
+
+def _mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _random_rational_monic(rng):
+    """A random monic polynomial of degree 2..9 over Q, low to high: a
+    product of powers of random factors of degree 1..3, a quarter of them
+    with numerators and denominators up to about 10^12, so that repeated
+    factors, irreducible quadratics and cubics and large coefficients
+    occur."""
+    out = [Fraction(1)]
+    while len(out) < 3:
+        big = rng.random() < 0.25
+        top, den = (10 ** 12, 10 ** 12) if big else (9, 4)
+        f = [Fraction(rng.randint(-top, top), rng.randint(1, den))
+             for _ in range(rng.randrange(1, 4))] + [1]
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            if len(out) + len(f) - 1 > 10:
+                break
+            out = _mul(out, f)
+    return out
+
+
+def test_q_factor_and_split_equal_sympy_on_random_polys():
+    """Zassenhaus over Q gives sympy's `factor_list` (factors,
+    multiplicities and order), and the idempotent split off a companion
+    matrix is the sympy reference's."""
+    rng = random.Random(14)
+    polys = [[Fraction(c) for c in coeffs] for coeffs in Q_POLYS]
+    polys += [_mul(SWINNERTON_DYER, [-1, 1]), _mul(Q_POLYS[1], Q_POLYS[1])]
+    polys += [_random_rational_monic(rng) for _ in range(60)]
+    for coeffs in polys:
+        coeffs = [Fraction(c) for c in coeffs]
+        assert algebra._factor(coeffs) == _sympy_factors(QQ, coeffs)
+        m = _companion(QQ, coeffs)
+        assert _same_split(QQ, m, m, QQ.eye(len(coeffs) - 1), QQ.matmul)
+    assert algebra._factor([Fraction(c) for c in SWINNERTON_DYER]) == [
+        (SWINNERTON_DYER, 1)]

@@ -2,15 +2,18 @@
 
 `modules.compose_flats` composes a whole batch of flat maps with one
 product per class.  `HomSpace` reads the chain-map conditions of all its
-candidates and all its homotopy images through it, `algebra_of_maps`
-forms all n^2 products of an End basis with one product per block, and
-`hom_space` writes its conditions as Python rows.  These tests compare
-each with the earlier code, kept here as references: one `ChainMap` per
-candidate and per homotopy generator, one composition per pair of basis
-maps, and a condition matrix written entry by entry.  They cover every
-complex that `silt check`, `SiltingContext` and `decompose_complex`
-build, and every module decomposed while building the context and its
-batteries, on the three fixtures and linear A4 over GF(32003) and Q.
+candidates and all its homotopy images through it; `HomSpace.induced`
+composes all class rows with a fixed chain map through it, one product
+per degree and class; `algebra_of_maps` forms all n^2 products of an End
+basis with one product per block; and `hom_space` writes its conditions
+as Python rows.  These tests compare each with the earlier code, kept
+here as references: one `ChainMap` per candidate, per homotopy generator
+and per class row, one composition per pair of basis maps, and a
+condition matrix written entry by entry.  They cover every complex that
+`silt check`, `SiltingContext` and `decompose_complex` build, every
+module decomposed while building the context and its batteries, and
+every induced matrix formed while the theorem is verified on them, on
+the three fixtures and linear A4 over GF(32003) and Q.
 """
 
 from fractions import Fraction
@@ -159,6 +162,16 @@ def _ref_algebra_of_maps(F, ident, span, to_map, flat_of):
     return mult, basis_flat
 
 
+def _ref_induced(src, tgt, fn):
+    """HomSpace.induced as it was: one ChainMap per class row, passed to
+    fn, flattened and read in tgt's class coordinates."""
+    if src.dim == 0:
+        return src.field.zeros((0, tgt.dim))
+    return tgt.coords_of(np.stack(
+        [tgt.flat_of(fn(src.class_map(r))) for r in range(src.dim)]
+    ))
+
+
 def _same(got, want):
     assert got.shape == want.shape
     assert got.dtype == want.dtype
@@ -175,13 +188,15 @@ def _same(got, want):
 )
 def built(request):
     """(every HomSpace, every complex given to chain_end_algebra, every
-    module given to end_algebra) while P is checked as in `silt check`
-    and a context and its two batteries are built."""
+    module given to end_algebra, every HomSpace.induced call with its
+    result) while P is checked as in `silt check`, a context and its two
+    batteries are built, and the theorem is verified on them."""
     _, P = _input(*request.param)
-    spaces, complexes, modules = [], [], []
+    spaces, complexes, modules, induced = [], [], [], []
     init = cx.HomSpace.__init__
     chain_end = cx.chain_end_algebra
     end = mod.end_algebra
+    induce = cx.HomSpace.induced
 
     def record_space(self, X, Y):
         init(self, X, Y)
@@ -195,21 +210,30 @@ def built(request):
         modules.append(M)
         return end(M)
 
+    def record_induced(self, tgt, left=None, right=None):
+        out = induce(self, tgt, left=left, right=right)
+        induced.append((self, tgt, left, right, out))
+        return out
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cx.HomSpace, "__init__", record_space)
         mp.setattr(cx, "chain_end_algebra", record_complex)
         mp.setattr(mod, "end_algebra", record_module)
+        mp.setattr(cx.HomSpace, "induced", record_induced)
         silting.is_presilting(P)
         silting.has_all_classes(P)
         silting.negative_hom_vanishes(P)
         ctx = silting.SiltingContext(P)
-        for B, tp in ((ctx.A, ctx.torsion_A), (ctx.B, ctx.torsion_B)):
-            silting.module_battery(B, tp)
-    return spaces, complexes, modules
+        batteries = [
+            silting.module_battery(B, tp)[0]
+            for B, tp in ((ctx.A, ctx.torsion_A), (ctx.B, ctx.torsion_B))
+        ]
+        silting.verify_theorem(ctx, *batteries)
+    return spaces, complexes, modules, induced
 
 
 def test_homspace_equals_per_candidate_reference(built):
-    spaces, _, _ = built
+    spaces, _, _, _ = built
     assert spaces
     for hs in spaces:
         chain, images, gens, classes = _ref_homspace(hs.X, hs.Y)
@@ -222,7 +246,7 @@ def test_homspace_equals_per_candidate_reference(built):
 
 
 def test_hom_space_equals_entrywise_reference(built):
-    spaces, _, modules = built
+    spaces, _, modules, _ = built
     pairs = [(M, M) for M in modules]
     for hs in spaces:
         for d in hs.X.terms:
@@ -238,7 +262,7 @@ def test_hom_space_equals_entrywise_reference(built):
 
 
 def test_chain_end_algebra_equals_per_pair_reference(built):
-    _, complexes, _ = built
+    _, complexes, _, _ = built
     assert complexes
     for X in complexes:
         E, maps, hs = cx.chain_end_algebra(X)
@@ -252,7 +276,7 @@ def test_chain_end_algebra_equals_per_pair_reference(built):
 
 
 def test_end_algebra_equals_per_pair_reference(built):
-    _, _, modules = built
+    _, _, modules, _ = built
     assert modules
     for M in modules:
         E, maps = mod.end_algebra(M)
@@ -262,6 +286,32 @@ def test_end_algebra_equals_per_pair_reference(built):
         )
         _same(E.mult, mult)
         _same(np.stack([f.flat() for f in maps]), basis)
+
+
+def test_induced_equals_per_row_reference(built):
+    """Every induced matrix the engine forms, composing with a fixed chain
+    map on either side, equals the per-row composition."""
+    _, _, _, induced = built
+    sides = set()
+    for src, tgt, left, right, got in induced:
+        if right is None:
+            fn, side = left.compose, "left"
+        else:
+            fn, side = (lambda phi, g=right: phi.compose(g)), "right"
+        _same(got, _ref_induced(src, tgt, fn))
+        if src.dim:
+            sides.add(side)
+    assert sides == {"left", "right"}
+
+
+def test_induced_takes_exactly_one_side(built):
+    spaces, _, _, _ = built
+    hs = next(h for h in spaces if h.X is h.Y)
+    ident = cx.identity_chain_map(hs.X)
+    with pytest.raises(ValueError):
+        hs.induced(hs)
+    with pytest.raises(ValueError):
+        hs.induced(hs, left=ident, right=ident)
 
 
 def test_algebra_of_maps_refuses_a_space_not_closed():

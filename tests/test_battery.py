@@ -82,7 +82,7 @@ def ref_module_battery(A, torsion=None, max_dim=30, cap=60, seed=0,
     for _ in range(rounds):
         before = len(items)
         for M in list(items):
-            add(mod.submodule(M, mod.radical_vectors(M), closed=True)[0])
+            add(mod.submodule(M, mod.radical_vectors(M))[0])
             add(mod.quotient_module(M, mod.socle_vectors(M))[0])
             add(_fresh_tau(M))
             add(_fresh_tau_inverse(M))

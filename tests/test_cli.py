@@ -1,13 +1,19 @@
+import ast
+import glob
 import inspect
+import json
 import os
 import subprocess
 import sys
 
 import pytest
 
+from siltengine import algebra as alg_mod
 from siltengine import ar, cli
 from siltengine import complexes as cx
 from siltengine import linalg, silting
+
+from test_golden import CASES, EXIT_CODES, GOLDEN
 
 FIXDIR = os.path.join(os.path.dirname(cli.__file__), "fixtures")
 
@@ -365,39 +371,86 @@ def test_largest_accepted_prime_runs(capsys):
     assert capsys.readouterr().out.replace("32003", "16777213") == out
 
 
-# ---- sympy only for the rationals -----------------------------------------
+# ---- no sympy in the engine -----------------------------------------------
 
 
-def _sympy_loaded_after(argvs, block=False):
+def _run_fresh(argvs, block=False):
     """Run cli.main on each argument list in a fresh interpreter; return its
-    exit codes and whether sympy was imported.  With block=True an import
-    of sympy fails, as if it were not installed."""
+    exit codes, its reports and whether sympy was imported.  With
+    block=True an import of sympy fails, as if it were not installed."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = (
-        "import sys\n"
+        "import contextlib, io, json, sys\n"
         + ("sys.modules['sympy'] = None\n" if block else "")
         + "from siltengine import cli\n"
-        + "rcs = [cli.main(a) for a in %r]\n" % (argvs,)
-        + "print(rcs, sys.modules.get('sympy') is not None)\n"
+        + "rcs, outs = [], []\n"
+        + "for a in %r:\n" % (argvs,)
+        + "    buf = io.StringIO()\n"
+        + "    with contextlib.redirect_stdout(buf):\n"
+        + "        rcs.append(cli.main(a))\n"
+        + "    outs.append(buf.getvalue())\n"
+        + "print(json.dumps([rcs, outs, "
+        + "sys.modules.get('sympy') is not None]))\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    return res.stdout.splitlines()[-1], res.stderr
+    return json.loads(res.stdout.splitlines()[-1])
 
 
 def test_gf_commands_do_not_import_sympy():
+    """Nor do the rational ones: min polys over Q are factored in plain
+    Python too."""
     argv = [fixture("a3_silt.alg"), fixture("a3_silt.cpx")]
-    out, _ = _sympy_loaded_after(
+    rcs, _, loaded = _run_fresh(
         [["check"] + argv, ["theorem"] + argv + ["--field", "32003"]])
-    assert out == "[0, 0] False"
-    out, _ = _sympy_loaded_after([["check"] + argv + ["--field", "Q"]])
-    assert out == "[0] True"
+    assert rcs == [0, 0] and not loaded
+    a2 = [fixture("a2_tilt.alg"), fixture("a2_tilt.cpx")]
+    rcs, _, loaded = _run_fresh([
+        ["check"] + argv + ["--field", "Q"],
+        ["theorem"] + a2 + ["--field", "Q"],
+    ])
+    assert rcs == [0, 0] and not loaded
 
 
-def test_field_q_without_sympy_is_refused():
+def test_field_q_without_sympy_gives_golden_bytes():
+    cases = [(name, argv) for name, argv in CASES
+             if name.split("-")[1] in ("check", "theorem") and "Q" in argv]
+    assert len(cases) == 4
+    rcs, outs, loaded = _run_fresh([argv for _, argv in cases], block=True)
+    assert not loaded
+    with open(EXIT_CODES, encoding="utf-8") as fh:
+        codes = json.load(fh)
+    for (name, _), rc, out in zip(cases, rcs, outs):
+        with open(os.path.join(GOLDEN, name), encoding="utf-8",
+                  newline="") as fh:
+            assert out == fh.read(), name
+        assert rc == codes[name], name
+
+
+def test_no_engine_file_imports_sympy():
+    engine = os.path.dirname(cli.__file__)
+    for path in sorted(glob.glob(os.path.join(engine, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "sympy" for n in names), path
+
+
+def test_split_search_refusal_exits_2(monkeypatch, capsys):
+    """A seeded idempotent search that finds nothing is a refusal (exit 2)
+    that names the search, not an invariant failure."""
+    monkeypatch.setattr(alg_mod.Algebra, "_corner_is_local",
+                        lambda self, corner: False)
+    monkeypatch.setattr(alg_mod, "split_by_min_poly", lambda *a: None)
     argv = [fixture("a2_tilt.alg"), fixture("a2_tilt.cpx")]
-    out, err = _sympy_loaded_after(
-        [["check"] + argv + ["--field", "Q"], ["check"] + argv], block=True)
-    assert out == "[1, 0] False"
-    assert "field Q needs sympy" in err
+    assert cli.main(["check"] + argv + ["--field", "Q"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition: the seeded idempotent search")
+    assert "non-split semisimple" not in err

@@ -200,8 +200,7 @@ def _ref_cohomology(X, i):
     """The earlier ModuleComplex.cohomology: one coords_in_basis per image
     row and class."""
     K, incl = modules.submodule(
-        X.term(i), modules.kernel_vectors(X.dmap(i)), closed=True
-    )
+        X.term(i), modules.kernel_vectors(X.dmap(i)))
     if (i - 1) not in X.terms:
         return K
     imv = modules.image_vectors(X.dmap(i - 1))

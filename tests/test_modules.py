@@ -372,6 +372,29 @@ def test_ext_space_fresh_equals_cached_either_order(field, monkeypatch):
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_simple_module_is_built_once_per_algebra_and_class(field):
+    from conftest import make_paper_algebra
+
+    A = make_paper_algebra(field)
+    quotients = []
+    quotient = modules.quotient_module
+
+    def record(M, vecs):
+        quotients.append(M)
+        return quotient(M, vecs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modules, "quotient_module", record)
+        first = [modules.simple_module(A, c) for c in range(A.nclasses)]
+        again = [modules.simple_module(A, c) for c in range(A.nclasses)]
+    assert all(x is y for x, y in zip(first, again))
+    # one quotient of e_c A per class
+    assert [P.pclass for P in quotients] == [0, 1]
+    assert [S.dim_vector() for S in first] == [[1, 0], [0, 1]]
+    assert modules.simple_module(make_paper_algebra(field), 0) is not first[0]
+
+
 def test_resolution_is_built_once_and_cut(paper_algebra):
     A = paper_algebra
     assert modules.projective_module(A, 1) is modules.projective_module(A, 1)

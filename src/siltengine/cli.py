@@ -568,9 +568,10 @@ def build_parser():
         p.add_argument("--report", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None,
                        help="directory for a copy of the output")
-        p.add_argument("--battery-max-dim", type=positive_int, default=30)
-        p.add_argument("--battery-cap", type=positive_int, default=60)
-        p.add_argument("--seed", type=int, default=0)
+        if name in ("theorem", "ar", "battery"):  # they build batteries
+            p.add_argument("--battery-max-dim", type=positive_int, default=30)
+            p.add_argument("--battery-cap", type=positive_int, default=60)
+            p.add_argument("--seed", type=int, default=0)
     return parser
 
 

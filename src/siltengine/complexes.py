@@ -64,29 +64,18 @@ class ModuleComplex:
 
     def cohomology(self, i):
         """H^i as a Module (with the inclusion data discarded)."""
-        X = self.term(i)
-        kv = mod.kernel_vectors(self.dmap(i))
-        K, incl = mod.submodule(X, kv)
-        if (i - 1) not in self.terms:
+        K, incl = mod.submodule(
+            self.term(i), mod.kernel_vectors(self.dmap(i))
+        )
+        if (i - 1) not in self.dmaps:
             return K
-        imv = mod.image_vectors(self.dmap(i - 1))
+        # the image of d^{i-1}, read in K
+        imv = mod.image_vectors(
+            mod.retract_through_inclusion(incl, self.dmaps[i - 1])
+        )
         if imv.shape[0] == 0:
             return K
-        # coordinates in K of the image rows, one factorisation per class
-        F = self.field
-        rows = F.zeros((imv.shape[0], K.total))
-        for c in range(self.A.nclasses):
-            piece = X.piece(imv, c)
-            if incl.mats[c].shape[0] == 0:
-                if np.any(piece != 0):
-                    raise ValueError("vector not in the submodule")
-                continue
-            co = linalg.Coords(F, incl.mats[c]).of(piece)
-            if co is None:
-                raise ValueError("vector not in the submodule")
-            K.piece(rows, c)[:] = co
-        Q, _ = mod.quotient_module(K, rows)
-        return Q
+        return mod.quotient_module(K, imv)[0]
 
 
 def zero_module(A):
@@ -185,9 +174,8 @@ class HomSpace:
     def _compute(self):
         F = self.field
         X, Y = self.X, self.Y
-        degs = sorted(set(X.terms) & set(Y.terms))
-        self.degs = degs
-        slot, nflat = _flat_slots({d: (X.term(d), Y.term(d)) for d in degs})
+        slot, nflat = _hom_slots(X, Y)
+        self.degs = degs = list(slot)
         self._slot = slot
         self.nflat = nflat
         if nflat == 0:
@@ -298,6 +286,8 @@ class HomSpace:
     def coords_of(self, flats):
         """Class coordinates over class_basis, modulo homotopy, of a batch
         of flat chain maps (one per row)."""
+        if not flats.shape[0]:
+            return self.field.zeros((0, self.dim))
         x = self._quotient.of(flats)
         if x is None:
             raise ValueError("vector not in the spanned space")
@@ -310,31 +300,49 @@ class HomSpace:
     def induced(self, tgt, left=None, right=None):
         """Matrix whose row r is tgt's class coordinates of left then
         class_map(r), for a chain map left : tgt.X -> X, or of class_map(r)
-        then right, for right : Y -> tgt.Y; give exactly one of the two.
-
-        Each degree composes all class rows with one `compose_flats`.
-        """
-        if (left is None) == (right is None):
-            raise ValueError("give exactly one of left and right")
-        F = self.field
-        if self.dim == 0:
-            return F.zeros((0, tgt.dim))
-        side, g = ("left", left) if right is None else ("right", right)
-        flats = F.zeros((self.dim, tgt.nflat))
-        for d, (lo, hi) in tgt._slot.items():
-            if d in self._slot and d in g.maps:
-                a, b = self._slot[d]
-                flats[:, lo:hi] = mod.compose_flats(
-                    self.class_basis[:, a:b], self.X.term(d), self.Y.term(d),
-                    **{side: g.maps[d]}
-                )
-        return tgt.coords_of(flats)
+        then right, for right : Y -> tgt.Y; give exactly one of the two."""
+        return tgt.coords_of(compose_flats(
+            self.class_basis, self.X, self.Y, left=left, right=right
+        ))
 
     def class_map(self, i):
         return self.map_from_flat(self.class_basis[i])
 
     def is_nullhomotopic(self, f):
         return linalg.in_span(self.field, self.htpy, self.flat_of(f))
+
+
+def compose_flats(flats, X, Y, left=None, right=None):
+    """Flat rows of `left` then f, or of f then `right`, for a batch of
+    chain maps f : X -> Y given as rows in the layout of HomSpace(X, Y).
+
+    Give exactly one of left (a ChainMap L -> X) and right (Y -> R); the
+    rows come back in the layout of HomSpace(L, Y) or HomSpace(X, R).
+    Each degree takes one `modules.compose_flats` for the whole batch.
+    """
+    if (left is None) == (right is None):
+        raise ValueError("give exactly one of left and right")
+    side, g = ("left", left) if right is None else ("right", right)
+    slot, _ = _hom_slots(X, Y)
+    out_slot, width = _hom_slots(g.src, Y) if right is None else \
+        _hom_slots(X, g.tgt)
+    out = X.field.zeros((flats.shape[0], width))
+    if not flats.shape[0]:
+        return out
+    for d, (lo, hi) in out_slot.items():
+        if d in slot and d in g.maps:
+            a, b = slot[d]
+            out[:, lo:hi] = mod.compose_flats(
+                flats[:, a:b], X.term(d), Y.term(d), **{side: g.maps[d]}
+            )
+    return out
+
+
+def _hom_slots(X, Y):
+    """`_flat_slots` of the chain maps X -> Y: one slot per degree where
+    both complexes have a term."""
+    degs = sorted(set(X.terms) & set(Y.terms))
+    return _flat_slots({d: (X.term(d), Y.term(d)) for d in degs})
 
 
 def _flat_slots(pairs):
@@ -719,7 +727,7 @@ def _standardize_summand(mc, emap):
         terms[d], incls[d] = mod.submodule(mc.term(d), imv)
     # the differential of the image complex, retracted through the inclusion
     dmaps = {
-        d: retract_through_inclusion(
+        d: mod.retract_through_inclusion(
             incls[d + 1], incls[d].compose(mc.dmap(d))
         )
         for d in terms
@@ -752,20 +760,6 @@ def proj_complex_from_module_complex(Xmc):
     if not out.check():
         raise RuntimeError("projective presentation fails d^2 = 0")
     return out, covers
-
-
-def retract_through_inclusion(incl, f):
-    """g with g . incl = f, given im f inside im incl."""
-    F = incl.field
-    mats = []
-    for c in range(incl.src.A.nclasses):
-        x = linalg.solve_matrix(
-            F, incl.mats[c].T, f.mats[c].T
-        )
-        if x is None:
-            raise RuntimeError("image does not land in the submodule")
-        mats.append(x.T)
-    return mod.ModuleMap(f.src, incl.src, mats)
 
 
 def map_inverse(f):

@@ -213,6 +213,9 @@ def compose_flats(flats, M, N, left=None, right=None):
         raise ValueError("give exactly one of left and right")
     F = M.field
     nb = flats.shape[0]
+    if not nb:
+        L, R = (M, right.tgt) if left is None else (left.src, N)
+        return F.zeros((0, sum(a * b for a, b in zip(L.dims, R.dims))))
     out = []
     pos = 0
     for c in range(M.A.nclasses):
@@ -449,24 +452,6 @@ def graded_pieces_of_span(M, vectors):
     ]
 
 
-def close_under_action(M, vectors):
-    """Span of vectors closed under the algebra action, as total vectors."""
-    F = M.field
-    if not len(vectors):
-        return F.zeros((0, M.total))
-    cur = linalg.row_space(
-        F, np.stack([np.asarray(v).reshape(-1) for v in vectors], axis=0)
-    )
-    ops = [M.act_total(M.A.basis_vec(b)) for b in range(M.A.dim)]
-    while True:
-        new = cur
-        for op in ops:
-            new = linalg.sum_spaces(F, new, F.matmul(cur, op))
-        if new.shape[0] == cur.shape[0]:
-            return new
-        cur = new
-
-
 def submodule(M, vectors):
     """(S, inclusion) for the submodule spanned by total vectors, whose
     span must already be action invariant."""
@@ -494,11 +479,10 @@ def submodule(M, vectors):
 
 
 def quotient_module(M, sub_vectors):
-    """(Q, projection) for M modulo the submodule spanned by total vectors."""
+    """(Q, projection) for M modulo the submodule spanned by total vectors,
+    whose span must already be action invariant."""
     F = M.field
-    vecs = close_under_action(M, sub_vectors) if len(sub_vectors) else \
-        F.zeros((0, M.total))
-    pieces = graded_pieces_of_span(M, vecs)
+    pieces = graded_pieces_of_span(M, sub_vectors)
     comps = [
         linalg.complement(F, pieces[c], F.eye(M.dims[c]))
         for c in range(M.A.nclasses)
@@ -519,11 +503,16 @@ def quotient_module(M, sub_vectors):
             raise RuntimeError("vector not in the spanned space")
         return x
 
-    act = [
-        quotient_rows(int(M.A.tgt[b]),
-                      F.matmul(comps[int(M.A.src[b])], M.act[b]))
-        for b in range(M.A.dim)
-    ]
+    act = []
+    for b in range(M.A.dim):
+        s, t = int(M.A.src[b]), int(M.A.tgt[b])
+        # b moves the basis [pieces[s]; comps[s]]; the span is invariant
+        # when the pieces[s] rows have no coordinates modulo pieces[t]
+        x = quotient_rows(t, F.matmul(coords[s].basis, M.act[b]))
+        k = pieces[s].shape[0]
+        if np.any(x[:k] != 0):
+            raise RuntimeError("span is not action invariant")
+        act.append(x[k:])
     Q = Module(M.A, dims, act)
     pmats = [quotient_rows(c, F.eye(M.dims[c])) for c in range(M.A.nclasses)]
     return Q, ModuleMap(M, Q, pmats)
@@ -627,7 +616,7 @@ class ProjSum:
         return ModuleMap(self.module, M, mats)
 
     def hom_to(self, N):
-        """Basis of Hom(self.module, N) as (maps, flat), without a solve.
+        """Basis of Hom(self.module, N) as flat rows, without a solve.
 
         Basis map (k, i) sends generator k to the i-th basis vector of
         N e_{c_k} and every other generator to 0, so its rows at summand
@@ -647,10 +636,8 @@ class ProjSum:
                     r = off[d] + (self.starts[k][d] + i) * nd
                     blk[:, r : r + nd] = N.act[b]
             blocks.append(blk)
-        flat = np.concatenate(blocks, axis=0) if blocks else \
+        return np.concatenate(blocks, axis=0) if blocks else \
             F.zeros((0, nflat))
-        maps = [map_from_flat(M, N, flat[i]) for i in range(flat.shape[0])]
-        return maps, flat
 
     def entry_matrix_to(self, other, f):
         """Express f: self.module -> other.module by algebra elements.
@@ -853,17 +840,9 @@ def decompose_module(M, rng=None):
 
 def _split_off(M, emap):
     """(image of an idempotent endomorphism, inclusion, retraction)."""
-    F = M.field
-    imv = image_vectors(emap)
-    S, incl = submodule(M, imv)
-    # retraction: apply e, then express in the image basis, per class
-    pmats = []
-    for c in range(M.A.nclasses):
-        pm = linalg.solve_matrix(F, incl.mats[c].T, emap.mats[c].T)
-        if pm is None:
-            raise RuntimeError("idempotent image splitting failed")
-        pmats.append(pm.T)
-    proj = ModuleMap(M, S, pmats)
+    S, incl = submodule(M, image_vectors(emap))
+    # retraction: apply e, then express in the image basis
+    proj = retract_through_inclusion(incl, emap)
     comp = incl.compose(proj)
     if not comp.is_isomorphism():
         raise RuntimeError("idempotent image splitting failed")
@@ -920,33 +899,24 @@ def ext_space(M, N, degree):
         raise ValueError("use hom_space for degree 0")
     F = M.field
     psums, dmaps, cover = min_resolution(M, degree + 1)
-    # Hom(P_i, N) bases; cocycles and coboundaries below are canonical row
-    # spaces, so they do not depend on the choice of these bases
-    homs = [ps.hom_to(N) for ps in psums]
-    deltas = []
-    for i, d in enumerate(dmaps):
-        # delta_i : Hom(P_i, N) -> Hom(P_{i+1}, N), phi -> d_{i+1} . phi
-        src_maps, src_flat = homs[i]
-        tgt_flat = homs[i + 1][1]
-        rows = []
-        for f in src_maps:
-            rows.append(d.compose(f).flat())
-        if rows:
-            mat = np.stack(rows, axis=0)
-        else:
-            mat = F.zeros((0, tgt_flat.shape[1] if tgt_flat.size else 0))
-        deltas.append(mat)
+
+    def delta(i):
+        """(basis of Hom(P_i, N), delta_i : phi -> d_{i+1} . phi on it);
+        cocycles and coboundaries below are canonical row spaces, so they
+        do not depend on the choice of the basis."""
+        flat = psums[i].hom_to(N)
+        return flat, compose_flats(flat, psums[i].module, N, left=dmaps[i])
+
     # cocycles at position `degree`: kernel of delta_degree within the image
     # coordinates of Hom(P_degree, N)
-    src_maps, src_flat = homs[degree]
-    if not src_maps:
-        zero = F.zeros((0, src_flat.shape[1] if src_flat.size else 0))
+    src_flat, nxt = delta(degree)
+    if not src_flat.shape[0]:
+        zero = F.zeros((0, 0))
         return ExtData(0, zero, zero, psums, dmaps, cover, N)
-    nxt = deltas[degree]
     coeff_kernel = linalg.kernel(F, nxt.T) if nxt.shape[1] else \
-        F.eye(len(src_maps))
+        F.eye(src_flat.shape[0])
     cocycles = linalg.row_space(F, F.matmul(coeff_kernel, src_flat))
-    prev = deltas[degree - 1]
+    prev = delta(degree - 1)[1]
     coboundaries = linalg.row_space(F, prev) if prev.shape[0] else \
         F.zeros((0, src_flat.shape[1]))
     dim = cocycles.shape[0] - coboundaries.shape[0]
@@ -1012,7 +982,6 @@ def ar_sequence(X):
         F, np.concatenate([ext.coboundaries, quot_basis], axis=0),
         skip=ext.coboundaries.shape[0],
     )
-    phis = [map_from_flat(P1.module, tX, q) for q in quot_basis]
     for r in range(radE.shape[0]):
         f = combination(basis_maps, radE[r])
         # lift f through the resolution: f0 on P0, then f1 on P1
@@ -1020,7 +989,7 @@ def ar_sequence(X):
         f1 = None if f0 is None else factor_through(d1.compose(f0), d1)
         if f1 is None:
             raise RuntimeError("lift through surjection failed")
-        moved = quot.of(np.stack([f1.compose(phi).flat() for phi in phis]))
+        moved = quot.of(compose_flats(quot_basis, P1.module, tX, left=f1))
         if moved is None:
             raise ValueError("vector not in the spanned space")
         action_mats.append(moved)
@@ -1074,11 +1043,23 @@ def factor_through(h, g):
     per-class linear solution.
     """
     F = h.field
-    maps, flat = hom_space(h.src, g.src)
-    if not maps:
+    _, flat = hom_space(h.src, g.src)
+    if not flat.shape[0]:
         return zero_map(h.src, g.src) if h.is_zero() else None
-    basis = np.stack([u.compose(g).flat() for u in maps], axis=0)
+    basis = compose_flats(flat, h.src, g.src, right=g)
     co = linalg.coords_in_basis(F, basis, h.flat())
     if co is None:
         return None
     return map_from_flat(h.src, g.src, F.matmul(co.reshape(1, -1), flat)[0])
+
+
+def retract_through_inclusion(incl, f):
+    """g with g . incl = f, given im f inside im incl."""
+    F = incl.field
+    mats = []
+    for c in range(incl.src.A.nclasses):
+        x = linalg.solve_matrix(F, incl.mats[c].T, f.mats[c].T)
+        if x is None:
+            raise RuntimeError("image does not land in the submodule")
+        mats.append(x.T)
+    return ModuleMap(f.src, incl.src, mats)

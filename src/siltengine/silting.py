@@ -301,8 +301,8 @@ class EndP:
                 if not ys:
                     continue
                 for x in corner_index[(i, j)]:
-                    co = quot.of(np.stack(
-                        [hs.flat_of(reps[y].compose(reps[x])) for y in ys]
+                    co = quot.of(cx.compose_flats(
+                        corner_rows[(j, l)], mq[l], mq[j], right=reps[x]
                     ))
                     if co is None:
                         raise ValueError("vector not in the spanned space")
@@ -479,12 +479,9 @@ class SiltingContext:
             if V.nflat == 0:
                 continue
             W = cx.HomSpace(u.tgt, T) if left else cx.HomSpace(T, u.src)
-            rows = [V.htpy]
-            for r in range(W.chain_basis.shape[0]):
-                psi = W.map_from_flat(W.chain_basis[r])
-                comp = u.compose(psi) if left else psi.compose(u)
-                rows.append(V.flat_of(comp).reshape(1, -1))
-            span = np.concatenate(rows, axis=0)
+            span = np.concatenate([V.htpy, cx.compose_flats(
+                W.chain_basis, W.X, W.Y, **{side: u}
+            )], axis=0)
             if linalg.solve_matrix(F, span.T, V.chain_basis.T) is None:
                 raise RuntimeError("%s approximation property failed" % side)
 
@@ -544,17 +541,20 @@ class SiltingContext:
         hsEnd = cx.HomSpace(self.mcPp, self.mcPp)
         # e . b for each chain endomorphism b of P', then the homotopies
         ebasis = np.concatenate([
-            hsAP.flat_of(self.e.compose(hsEnd.map_from_flat(v))).reshape(1, -1)
-            for v in hsEnd.chain_basis
-        ] + [hsAP.htpy], axis=0)
+            cx.compose_flats(
+                hsEnd.chain_basis, self.mcPp, self.mcPp, left=self.e
+            ),
+            hsAP.htpy,
+        ], axis=0)
         self.EndQ = cx.HomSpace(self.Q_mod, self.Q_mod)
         self.phi_chain = [
             self._phi_of(A.basis_vec(a_idx), hsAP, hsEnd, ebasis)
             for a_idx in range(A.dim)
         ]
-        self.phi_matrix = self.EndQ.coords_of(
-            np.stack([self.EndQ.flat_of(psi) for psi in self.phi_chain])
+        self.phi_flats = np.stack(
+            [self.EndQ.flat_of(psi) for psi in self.phi_chain]
         )
+        self.phi_matrix = self.EndQ.coords_of(self.phi_flats)
         if linalg.rank(F, self.phi_matrix) != self.EndQ.dim:
             raise RuntimeError("induced algebra map is not surjective")
         ker1 = linalg.row_space(
@@ -623,15 +623,19 @@ class SiltingContext:
     def _factorization_kernel(self):
         F = self.field
         hs = cx.HomSpace(self.mcPp, self.mcC.shift(-1))
-        gshift = self.g.shift(-1)
-        rows = []
-        for r in range(hs.chain_basis.shape[0]):
-            eta = hs.map_from_flat(hs.chain_basis[r])
-            chi = self.e.compose(eta).compose(gshift)
-            rows.append(self.element_of_regular_endo(chi.map_at(0)))
-        if not rows:
+        if not hs.chain_basis.shape[0]:
             return F.zeros((0, self.A.dim))
-        return linalg.row_space(F, np.stack(rows, axis=0))
+        # e . eta . g[-1] : A -> A for each chain map eta, flat in degree 0
+        gshift = self.g.shift(-1)
+        chis = cx.compose_flats(
+            cx.compose_flats(hs.chain_basis, hs.X, hs.Y, left=self.e),
+            self.mcA, hs.Y, right=gshift,
+        )
+        M = self.mcA.term(0)
+        return linalg.row_space(F, np.stack([
+            self.element_of_regular_endo(mod.map_from_flat(M, M, chi))
+            for chi in chis
+        ]))
 
     def phi_class(self, avec):
         """Class coordinates of phi(a) over the End(Q) basis."""
@@ -990,7 +994,7 @@ def torsion_resolution(ctx, X, variant):
     if variant == "tcogen":
         I0, emb = injective_envelope(X, rng)
         T0, incl = tp.torsion_part(I0)
-        emb2 = cx.retract_through_inclusion(incl, emb)
+        emb2 = mod.retract_through_inclusion(incl, emb)
         L, proj = mod.quotient_module(T0, mod.image_vectors(emb2))
         middle_ok = (
             _in_add(T0, tp.summands_of(tp.tnuA, rng), rng)
@@ -1037,12 +1041,18 @@ def _approximation(G, X, side):
     left = side == "left"
     maps, _ = mod.hom_space(X, G) if left else mod.hom_space(G, X)
     parts = [G] * len(maps)
-    S, incls, projs = (
-        mod.direct_sum(parts) if maps else (cx.zero_module(X.A), [], [])
-    )
-    big = mod.zero_map(X, S) if left else mod.zero_map(S, X)
-    for k, m in enumerate(maps):
-        big = big.add(m.compose(incls[k]) if left else projs[k].compose(m))
+    if not maps:
+        S = cx.zero_module(X.A)
+        return S, mod.zero_map(X, S) if left else mod.zero_map(S, X), parts
+    S = mod.direct_sum(parts)[0]
+    # S lays out its copies of G one after another in every class, so the
+    # map into S is the maps side by side and the map out of S is them
+    # stacked
+    mats = [
+        np.concatenate([m.mats[c] for m in maps], axis=1 if left else 0)
+        for c in range(X.A.nclasses)
+    ]
+    big = mod.ModuleMap(X, S, mats) if left else mod.ModuleMap(S, X, mats)
     return S, big, parts
 
 
@@ -1266,11 +1276,13 @@ def verify_theorem(ctx, battery=None, battery_b=None, max_dim=30, cap=60,
 
     ok = True
     for i in range(A.dim):
+        # row j: phi(e_j) then phi(e_i), the chain map of phi(e_i e_j)
+        comps = ctx.EndQ.coords_of(cx.compose_flats(
+            ctx.phi_flats, ctx.Q_mod, ctx.Q_mod, right=ctx.phi_chain[i]
+        ))
         for j in range(A.dim):
             prod = A.el_mult(A.basis_vec(i), A.basis_vec(j))
-            lhs = ctx.phi_class(prod)
-            comp = ctx.phi_chain[j].compose(ctx.phi_chain[i])
-            if not np.array_equal(lhs, ctx.EndQ.coords(comp)):
+            if not np.array_equal(ctx.phi_class(prod), comps[j]):
                 ok = False
     checks.append(_entry(
         "endo-map-multiplicative", "pass" if ok else "fail",

@@ -1,28 +1,35 @@
 """Batched map composition against the per-map code it replaces.
 
 `modules.compose_flats` composes a whole batch of flat maps with one
-product per class.  `HomSpace` reads the chain-map conditions of all its
-candidates and all its homotopy images through it; `HomSpace.induced`
-composes all class rows with a fixed chain map through it, one product
-per degree and class; `algebra_of_maps` forms all n^2 products of an End
-basis with one product per block; and `hom_space` writes its conditions
-as Python rows.  These tests compare each with the earlier code, kept
-here as references: one `ChainMap` per candidate, per homotopy generator
-and per class row, one composition per pair of basis maps, and a
-condition matrix written entry by entry.  They cover every complex that
-`silt check`, `SiltingContext` and `decompose_complex` build, every
-module decomposed while building the context and its batteries, and
-every induced matrix formed while the theorem is verified on them, on
-the three fixtures and linear A4 over GF(32003) and Q.
+product per class, and `complexes.compose_flats` a batch of flat chain
+maps with one `modules.compose_flats` per degree.  `HomSpace` reads the
+chain-map conditions of all its candidates and all its homotopy images
+through the first; `HomSpace.induced`, the product table of `EndP` and
+the spans of `SiltingContext._assert_approximation` compose through the
+second; `ext_space`, `ar_sequence` and `factor_through` compose a basis
+of maps with one fixed map through the first; `algebra_of_maps` forms
+all n^2 products of an End basis with one product per block; and
+`hom_space` writes its conditions as Python rows.  These tests compare
+each with the earlier code, kept here as references: one `ChainMap` or
+`ModuleMap` composition per candidate, per homotopy generator, per
+class row and per basis map, one composition per pair of basis maps,
+and a condition matrix written entry by entry.  They cover every complex
+that `silt check`, `SiltingContext` and `decompose_complex` build, every
+module decomposed while building the context and its batteries, every
+induced matrix formed while the theorem is verified on them, and Ext,
+almost split sequences and factorizations on those batteries, on the
+three fixtures and linear A4 over GF(32003) and Q.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from siltengine import algebra
 from siltengine import complexes as cx
 from siltengine import linalg
 from siltengine import modules as mod
@@ -172,6 +179,126 @@ def _ref_induced(src, tgt, fn):
     ))
 
 
+def _ref_endp_mult(endo):
+    """EndP's product table as it was: one ChainMap composition and
+    flat_of per pair of basis elements."""
+    F = endo.field
+    mult = F.zeros(endo.B.mult.shape)
+    for (i, l), hs in endo._corners.items():
+        ks = endo._corner_index[(i, l)]
+        if not ks:
+            continue
+        quot = linalg.Coords(
+            F, np.concatenate([hs.htpy, endo._corner_rows[(i, l)]], axis=0),
+            skip=hs.htpy.shape[0],
+        )
+        for j in range(endo.n):
+            ys = endo._corner_index[(j, l)]
+            if not ys:
+                continue
+            for x in endo._corner_index[(i, j)]:
+                mult[x][np.ix_(ys, ks)] = quot.of(np.stack([
+                    hs.flat_of(endo.reps[y].compose(endo.reps[x]))
+                    for y in ys
+                ]))
+    return mult
+
+
+def _ref_approximation_spans(ctx, u, side):
+    """The spans `_assert_approximation` solves in, as it built them: the
+    homotopies, then one ChainMap composition with u per chain map."""
+    left = side == "left"
+    out = []
+    for T in ([ctx.mcP] if left else ctx.mq):
+        V = cx.HomSpace(u.src, T) if left else cx.HomSpace(T, u.tgt)
+        if V.nflat == 0:
+            continue
+        W = cx.HomSpace(u.tgt, T) if left else cx.HomSpace(T, u.src)
+        rows = [V.htpy]
+        for r in range(W.chain_basis.shape[0]):
+            psi = W.map_from_flat(W.chain_basis[r])
+            comp = u.compose(psi) if left else psi.compose(u)
+            rows.append(V.flat_of(comp).reshape(1, -1))
+        out.append(np.concatenate(rows, axis=0))
+    return out
+
+
+def _ref_ext_space(M, N, degree):
+    """(dim, cocycles, coboundaries) of ext_space as it was: every delta
+    from one ModuleMap composition per basis map of Hom(P_i, N)."""
+    F = M.field
+    psums, dmaps, _ = mod.min_resolution(M, degree + 1)
+    flats = [ps.hom_to(N) for ps in psums]
+    deltas = []
+    for i, d in enumerate(dmaps):
+        rows = [
+            d.compose(mod.map_from_flat(psums[i].module, N, v)).flat()
+            for v in flats[i]
+        ]
+        tgt_flat = flats[i + 1]
+        deltas.append(
+            np.stack(rows, axis=0) if rows
+            else F.zeros((0, tgt_flat.shape[1] if tgt_flat.size else 0))
+        )
+    src_flat = flats[degree]
+    if not src_flat.shape[0]:
+        zero = F.zeros((0, src_flat.shape[1] if src_flat.size else 0))
+        return 0, zero, zero
+    nxt = deltas[degree]
+    coeff_kernel = linalg.kernel(F, nxt.T) if nxt.shape[1] else \
+        F.eye(src_flat.shape[0])
+    cocycles = linalg.row_space(F, F.matmul(coeff_kernel, src_flat))
+    prev = deltas[degree - 1]
+    coboundaries = linalg.row_space(F, prev) if prev.shape[0] else \
+        F.zeros((0, src_flat.shape[1]))
+    return cocycles.shape[0] - coboundaries.shape[0], cocycles, coboundaries
+
+
+def _ref_factor_through(h, g):
+    """factor_through as it was: one ModuleMap composition with g per
+    basis map of Hom(src h, src g)."""
+    F = h.field
+    maps, flat = mod.hom_space(h.src, g.src)
+    if not maps:
+        return mod.zero_map(h.src, g.src) if h.is_zero() else None
+    basis = np.stack([u.compose(g).flat() for u in maps], axis=0)
+    co = linalg.coords_in_basis(F, basis, h.flat())
+    if co is None:
+        return None
+    return mod.map_from_flat(
+        h.src, g.src, F.matmul(co.reshape(1, -1), flat)[0]
+    )
+
+
+def _ref_ar_cocycle(X):
+    """(tau X, Ext^1(X, tau X), the cocycle ar_sequence extends by) with
+    the End(X) action on Ext^1 as it was: each lift composed with one
+    cocycle map at a time."""
+    F = X.field
+    tX = mod.tau(X)
+    ext = mod.ext_space(X, tX, 1)
+    E, basis_maps = mod.end_algebra(X)
+    radE = E.radical()
+    P1, d1, cover = ext.psums[1], ext.dmaps[0], ext.cover
+    quot_basis = linalg.complement(F, ext.coboundaries, ext.cocycles)
+    quot = linalg.Coords(
+        F, np.concatenate([ext.coboundaries, quot_basis], axis=0),
+        skip=ext.coboundaries.shape[0],
+    )
+    phis = [mod.map_from_flat(P1.module, tX, q) for q in quot_basis]
+    action = []
+    for r in range(radE.shape[0]):
+        f = mod.combination(basis_maps, radE[r])
+        f0 = _ref_factor_through(cover.compose(f), cover)
+        f1 = _ref_factor_through(d1.compose(f0), d1)
+        action.append(
+            quot.of(np.stack([f1.compose(phi).flat() for phi in phis]))
+        )
+    soc = linalg.kernel(F, np.concatenate(action, axis=1).T) if action \
+        else F.eye(quot_basis.shape[0])
+    return tX, ext, F.reduce(np.einsum("i,ij->j", soc[0], quot_basis))
+
+
 def _same(got, want):
     assert got.shape == want.shape
     assert got.dtype == want.dtype
@@ -187,10 +314,11 @@ def _same(got, want):
     ids=lambda p: "%s-%s" % p,
 )
 def built(request):
-    """(every HomSpace, every complex given to chain_end_algebra, every
-    module given to end_algebra, every HomSpace.induced call with its
-    result) while P is checked as in `silt check`, a context and its two
-    batteries are built, and the theorem is verified on them."""
+    """Every HomSpace (spaces), every complex given to chain_end_algebra
+    (complexes), every module given to end_algebra (modules) and every
+    HomSpace.induced call with its result (induced) while P is checked as
+    in `silt check`, a context (ctx) and its two batteries (batteries)
+    are built, and the theorem is verified on them."""
     _, P = _input(*request.param)
     spaces, complexes, modules, induced = [], [], [], []
     init = cx.HomSpace.__init__
@@ -229,11 +357,14 @@ def built(request):
             for B, tp in ((ctx.A, ctx.torsion_A), (ctx.B, ctx.torsion_B))
         ]
         silting.verify_theorem(ctx, *batteries)
-    return spaces, complexes, modules, induced
+    return SimpleNamespace(
+        spaces=spaces, complexes=complexes, modules=modules,
+        induced=induced, ctx=ctx, batteries=batteries,
+    )
 
 
 def test_homspace_equals_per_candidate_reference(built):
-    spaces, _, _, _ = built
+    spaces = built.spaces
     assert spaces
     for hs in spaces:
         chain, images, gens, classes = _ref_homspace(hs.X, hs.Y)
@@ -246,7 +377,7 @@ def test_homspace_equals_per_candidate_reference(built):
 
 
 def test_hom_space_equals_entrywise_reference(built):
-    spaces, _, modules, _ = built
+    spaces, modules = built.spaces, built.modules
     pairs = [(M, M) for M in modules]
     for hs in spaces:
         for d in hs.X.terms:
@@ -262,7 +393,7 @@ def test_hom_space_equals_entrywise_reference(built):
 
 
 def test_chain_end_algebra_equals_per_pair_reference(built):
-    _, complexes, _, _ = built
+    complexes = built.complexes
     assert complexes
     for X in complexes:
         E, maps, hs = cx.chain_end_algebra(X)
@@ -276,7 +407,7 @@ def test_chain_end_algebra_equals_per_pair_reference(built):
 
 
 def test_end_algebra_equals_per_pair_reference(built):
-    _, _, modules, _ = built
+    modules = built.modules
     assert modules
     for M in modules:
         E, maps = mod.end_algebra(M)
@@ -291,7 +422,7 @@ def test_end_algebra_equals_per_pair_reference(built):
 def test_induced_equals_per_row_reference(built):
     """Every induced matrix the engine forms, composing with a fixed chain
     map on either side, equals the per-row composition."""
-    _, _, _, induced = built
+    induced = built.induced
     sides = set()
     for src, tgt, left, right, got in induced:
         if right is None:
@@ -304,8 +435,118 @@ def test_induced_equals_per_row_reference(built):
     assert sides == {"left", "right"}
 
 
+def test_endp_products_equal_per_pair_reference(built):
+    endo = built.ctx.endo
+    _same(endo.B.mult, _ref_endp_mult(endo))
+
+
+def test_approximation_spans_equal_per_map_reference(built, monkeypatch):
+    """The spans the approximation checks solve in, read off their
+    solve_matrix calls, equal the per-map compositions."""
+    ctx = built.ctx
+    solve = linalg.solve_matrix
+    for u, side in ((ctx.e, "left"), (ctx.g, "right")):
+        spans = []
+
+        def record(F, a, b):
+            spans.append(a.T)
+            return solve(F, a, b)
+
+        monkeypatch.setattr(linalg, "solve_matrix", record)
+        ctx._assert_approximation(u, side)
+        monkeypatch.undo()
+        want = _ref_approximation_spans(ctx, u, side)
+        assert spans and len(spans) == len(want)
+        for got, ref in zip(spans, want):
+            _same(got, ref)
+
+
+def test_ext_space_equals_per_map_reference(built):
+    for battery in built.batteries:
+        for M in battery:
+            for N in battery:
+                for degree in (1, 2):
+                    ext = mod.ext_space(M, N, degree)
+                    dim, cocycles, coboundaries = _ref_ext_space(M, N, degree)
+                    assert ext.dim == dim
+                    _same(ext.cocycles, cocycles)
+                    _same(ext.coboundaries, coboundaries)
+
+
+def _ar_cases_equal_reference(modules, battery, monkeypatch):
+    """Check each almost split sequence ending at a non-projective module
+    of `modules` against the per-map End(X) action, and every
+    factorization its construction and its almost-split check against
+    `battery` ask for against the per-map one.  Returns the number of
+    sequences and of End(X) actions that were not zero."""
+    calls = []
+    factor = mod.factor_through
+
+    def record(h, g):
+        out = factor(h, g)
+        calls.append((h, g, out))
+        return out
+
+    monkeypatch.setattr(mod, "factor_through", record)
+    cases = acting = 0
+    for X in modules:
+        if mod.tau(X).total == 0:
+            continue
+        tX, E, _, f, g = mod.ar_sequence(X)
+        _, ext, cocycle = _ref_ar_cocycle(X)
+        ref_E, ref_f, ref_g = mod.extension_sequence(X, tX, ext, cocycle)
+        assert E.dims == ref_E.dims
+        for a, b in zip(E.act, ref_E.act):
+            _same(a, b)
+        _same(f.flat(), ref_f.flat())
+        _same(g.flat(), ref_g.flat())
+        assert mod.is_almost_split(tX, E, X, f, g, battery)
+        cases += 1
+        acting += mod.end_algebra(X)[0].radical().shape[0] > 0
+    monkeypatch.undo()
+    assert calls
+    for h, g, got in calls:
+        want = _ref_factor_through(h, g)
+        assert (got is None) == (want is None)
+        if got is not None:
+            _same(got.flat(), want.flat())
+    return cases, acting
+
+
+def test_ar_sequence_and_factor_through_equal_per_map_reference(
+    built, monkeypatch
+):
+    cases = sum(
+        _ar_cases_equal_reference(battery, battery, monkeypatch)[0]
+        for battery in built.batteries
+    )
+    assert cases
+
+
+@pytest.mark.parametrize("field", ["32003", "Q"])
+def test_ar_sequence_with_end_action_equals_per_map_reference(
+    field, monkeypatch
+):
+    """The battery modules all have End(X) = k, so no End(X) action
+    moves a cocycle there.  Over k[x]/(x^4), End(k[x]/(x^m)) is
+    k[x]/(x^m): for m = 2 its radical acts on a 2-dimensional Ext^1, and
+    for m = 3 its radical is 2-dimensional."""
+    F = linalg.GF(32003) if field == "32003" else linalg.RationalField()
+    q = algebra.Quiver(1, [("x", 1, 1)])
+    A = algebra.build_algebra(
+        F, q, [algebra.Relation(q, [(1, (0, 0, 0, 0))])], 5
+    )
+    uniserials = [
+        mod.module_from_rep(A, [m], {"x": np.eye(m, k=1, dtype=int)})
+        for m in (1, 2, 3, 4)
+    ]
+    assert _ar_cases_equal_reference(
+        uniserials, uniserials, monkeypatch
+    ) == (3, 2)
+
+
 def test_induced_takes_exactly_one_side(built):
-    spaces, _, _, _ = built
+    spaces = built.spaces
     hs = next(h for h in spaces if h.X is h.Y)
     ident = cx.identity_chain_map(hs.X)
     with pytest.raises(ValueError):
@@ -398,3 +639,68 @@ def test_compose_flats_takes_exactly_one_side():
     with pytest.raises(ValueError):
         idm = mod.identity_map(M)
         mod.compose_flats(flats, M, M, left=idm, right=idm)
+
+
+# ---- complexes.compose_flats against ChainMap.compose ------------------------
+
+
+@st.composite
+def _chain_batches(draw):
+    """(L, X, Y, R, flats of chain maps X -> Y, g : L -> X, h : Y -> R):
+    complexes over A3 with terms in some of the degrees -1, 0, 1 (0-2
+    dims per class, no differential; composition reads none), 0-3 maps."""
+    A = _A3[draw(st.sampled_from(["32003", "Q"]))]
+    F = A.field
+
+    def complex_():
+        terms = {
+            d: _bare_module(A, draw(st.lists(
+                st.integers(0, 2), min_size=3, max_size=3)))
+            for d in (-1, 0, 1) if draw(st.booleans())
+        }
+        return cx.ModuleComplex(A, terms, {})
+
+    def chain_map(S, T):
+        return cx.ChainMap(S, T, {
+            d: mod.ModuleMap(S.term(d), T.term(d), [
+                _field_entries(F, draw, (S.term(d).dims[c], T.term(d).dims[c]))
+                for c in range(3)
+            ])
+            for d in S.terms if d in T.terms
+        })
+
+    L, X, Y, R = (complex_() for _ in range(4))
+    nb = draw(st.integers(0, 3))
+    flats = _field_entries(F, draw, (nb, sum(_RefLayout(X, Y).sizes)))
+    return L, X, Y, R, flats, chain_map(L, X), chain_map(Y, R)
+
+
+def _chain_rows(F, maps, S, T):
+    lay = _RefLayout(S, T)
+    if not maps:
+        return F.zeros((0, sum(lay.sizes)))
+    return np.stack([lay.flat_of(m) for m in maps])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_chain_batches())
+def test_chain_compose_flats_equals_compose(case):
+    L, X, Y, R, flats, g, h = case
+    F = X.field
+    lay = _RefLayout(X, Y)
+    fs = [lay.map_from_flat(flats[i]) for i in range(flats.shape[0])]
+    _same(cx.compose_flats(flats, X, Y, right=h),
+          _chain_rows(F, [f.compose(h) for f in fs], X, R))
+    _same(cx.compose_flats(flats, X, Y, left=g),
+          _chain_rows(F, [g.compose(f) for f in fs], L, Y))
+
+
+def test_chain_compose_flats_takes_exactly_one_side():
+    A = _A3["32003"]
+    X = cx.ModuleComplex(A, {0: _bare_module(A, [1, 0, 0])}, {})
+    flats = A.field.zeros((0, 1))
+    ident = cx.ChainMap(X, X, {0: mod.identity_map(X.term(0))})
+    with pytest.raises(ValueError):
+        cx.compose_flats(flats, X, X)
+    with pytest.raises(ValueError):
+        cx.compose_flats(flats, X, X, left=ident, right=ident)

@@ -185,6 +185,21 @@ def test_battery_bound_below_one_is_refused(flag, value, capsys):
     assert "%s: must be at least 1, got %s" % (flag, value) in captured.err
 
 
+@pytest.mark.parametrize("cmd", ["check", "endo", "complete"])
+@pytest.mark.parametrize(
+    "flag", ["--seed", "--battery-cap", "--battery-max-dim"]
+)
+def test_battery_flags_only_on_battery_commands(cmd, flag, capsys):
+    # check, endo and complete build no battery: the flags would do nothing
+    rc = cli.main([
+        cmd, fixture("a3_silt.alg"), fixture("a3_silt.cpx"), flag, "1",
+    ])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "unrecognized arguments: %s 1" % flag in captured.err
+
+
 def test_presilting_with_too_few_classes_is_refused(tmp_path, capsys):
     # the stalk P1 over A2 is presilting with one summand class of two
     stalk = tmp_path / "p1.cpx"

@@ -24,9 +24,10 @@ it under a time limit.  Nor are tests/golden/linear_a6-theorem.json, the
 same report on linear A6 (linear_a6.alg, linear_a6.cpx), and
 tests/golden/linear_a6-ar.txt, the text report of `ar` on it, which the
 linear-a6-theorem CI job compares against under a time limit, nor
-tests/golden/linear_a8-theorem.json and linear_a8-endo.txt, the JSON
-`theorem` and text `endo` reports on linear A8 (linear_a8.alg,
-linear_a8.cpx), which the linear-a8-theorem CI job compares against.
+tests/golden/linear_a8-theorem.json, linear_a8-endo.txt and
+linear_a8-ar.txt, the JSON `theorem` and text `endo` and `ar` reports on
+linear A8 (linear_a8.alg, linear_a8.cpx), which the linear-a8-theorem CI
+job compares against.
 """
 
 import contextlib

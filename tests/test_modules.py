@@ -291,17 +291,15 @@ def test_projsum_hom_to_spans_hom_space(field):
     for A, battery in _battery_cases(field):
         for ps in _proj_sums(A, battery):
             for N in battery + [ps.module]:
-                maps, flat = ps.hom_to(N)
+                flat = ps.hom_to(N)
                 _, want = modules.hom_space(ps.module, N)
-                assert flat.shape[0] == len(maps)
                 assert flat.shape[0] == sum(N.dims[c] for c in ps.classes)
                 assert linalg.rank(field, flat) == flat.shape[0]
                 got = linalg.row_space(field, flat) if flat.shape[0] else \
                     want
                 assert np.array_equal(got, want)
-                for m, row in zip(maps, flat):
-                    assert m.check()
-                    assert np.array_equal(m.flat(), row)
+                for row in flat:
+                    assert modules.map_from_flat(ps.module, N, row).check()
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -327,9 +325,9 @@ def test_projsum_offsets_equal_inclusion_apply(field):
         # random maps into a sum with repeated classes
         big = _proj_sums(A, [])[A.nclasses]
         for ps in _proj_sums(A, []):
-            maps, _ = ps.hom_to(big.module)
             f = modules.zero_map(ps.module, big.module)
-            for m in maps:
+            for row in ps.hom_to(big.module):
+                m = modules.map_from_flat(ps.module, big.module, row)
                 f = f.add(m.scale(field.rand(rng)))
             pairs.append((ps, big, f))
         for src, tgt, f in pairs:
@@ -365,7 +363,7 @@ def test_ext_space_fresh_equals_cached_either_order(field, monkeypatch):
         got = [[modules.ext_space(M, N, 1) for N in battery]
                for M in battery]
         monkeypatch.setattr(modules.ProjSum, "hom_to",
-                            lambda ps, N: modules.hom_space(ps.module, N))
+                            lambda ps, N: modules.hom_space(ps.module, N)[1])
         for M, row in zip(battery, got):
             for N, ext in zip(battery, row):
                 _same_ext(ext, modules.ext_space(_fresh(M), N, 1))
@@ -438,9 +436,28 @@ def ref_quotient_coords(F, sub, total_basis, v):
     return c[sub.shape[0]:]
 
 
+def _ref_close_under_action(M, vectors):
+    """The engine's earlier closure of a span under the algebra action,
+    which quotient_module ran on every span it was given."""
+    F = M.field
+    if not len(vectors):
+        return F.zeros((0, M.total))
+    cur = linalg.row_space(
+        F, np.stack([np.asarray(v).reshape(-1) for v in vectors], axis=0)
+    )
+    ops = [M.act_total(M.A.basis_vec(b)) for b in range(M.A.dim)]
+    while True:
+        new = cur
+        for op in ops:
+            new = linalg.sum_spaces(F, new, F.matmul(cur, op))
+        if new.shape[0] == cur.shape[0]:
+            return new
+        cur = new
+
+
 def _ref_quotient_module(M, sub_vectors):
     F = M.field
-    vecs = modules.close_under_action(M, sub_vectors) if len(sub_vectors) \
+    vecs = _ref_close_under_action(M, sub_vectors) if len(sub_vectors) \
         else F.zeros((0, M.total))
     pieces = modules.graded_pieces_of_span(M, vecs)
     comps = [linalg.complement(F, pieces[c], F.eye(M.dims[c]))
@@ -469,11 +486,14 @@ def test_quotient_module_equals_per_row_reference(field):
     rng = random.Random(13)
     for A, battery in _battery_cases(field):
         for M in battery:
+            # quotient_module takes submodules only: the random vector
+            # goes in closed
+            raw = field.array([[field.rand(rng) for _ in range(M.total)]])
             subs = [
                 field.zeros((0, M.total)),
                 modules.radical_vectors(M),
                 modules.socle_vectors(M),
-                field.array([[field.rand(rng) for _ in range(M.total)]]),
+                _ref_close_under_action(M, raw),
                 field.eye(M.total),
             ]
             for sub in subs:
@@ -483,3 +503,30 @@ def test_quotient_module_equals_per_row_reference(field):
                 assert all(np.array_equal(x, y) for x, y in zip(Q.act, act))
                 assert all(np.array_equal(x, y)
                            for x, y in zip(proj.mats, pmats))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_quotient_module_refuses_a_span_that_is_not_invariant(field):
+    """A random vector spans no submodule in general.  quotient_module
+    refuses it unless the graded pieces of its span are action invariant,
+    and then their sum is the closure, so the quotient is the closure's."""
+    rng = random.Random(13)
+    refused = 0
+    for A, battery in _battery_cases(field):
+        for M in battery:
+            raw = field.array([[field.rand(rng) for _ in range(M.total)]])
+            closed = modules.graded_pieces_of_span(
+                M, _ref_close_under_action(M, raw))
+            pieces = modules.graded_pieces_of_span(M, raw)
+            if all(np.array_equal(p, q) for p, q in zip(pieces, closed)):
+                Q, proj = modules.quotient_module(M, raw)
+                dims, act, pmats = _ref_quotient_module(M, raw)
+                assert Q.dims == dims
+                assert all(np.array_equal(x, y) for x, y in zip(Q.act, act))
+                assert all(np.array_equal(x, y)
+                           for x, y in zip(proj.mats, pmats))
+                continue
+            refused += 1
+            with pytest.raises(RuntimeError, match="not action invariant"):
+                modules.quotient_module(M, raw)
+    assert refused

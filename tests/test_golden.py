@@ -9,8 +9,11 @@ its complex, tests/golden/linear_a4.cpx, is `silt complete` of the seed
 complex P2 --x1--> P1.  They also cover the battery of linear A5
 (tests/golden/linear_a5.alg), the largest battery a case closes, and
 `check` and `endo` on linear A4 and A5, which read every Hom space of
-complexes and the chain endomorphism algebras.  After a deliberate report
-change, rewrite them with
+complexes and the chain endomorphism algebras, and `check`, `theorem` and
+`battery` on the self-injective Nakayama algebras N(3,3) and N(3,4)
+(tests/golden/nakayama_3_3.alg, nakayama_3_4.alg: the 3-cycle with every
+path of length 3, resp. 4, zero; each .cpx is `silt complete` of
+P2 --a1--> P1).  After a deliberate report change, rewrite them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -27,7 +30,9 @@ linear-a6-theorem CI job compares against under a time limit, nor
 tests/golden/linear_a8-theorem.json, linear_a8-endo.txt and
 linear_a8-ar.txt, the JSON `theorem` and text `endo` and `ar` reports on
 linear A8 (linear_a8.alg, linear_a8.cpx), which the linear-a8-theorem CI
-job compares against.
+job compares against, nor tests/golden/nakayama_4_5-theorem.json, the JSON
+`theorem` report on N(4,5) (nakayama_4_5.alg, nakayama_4_5.cpx), which the
+nakayama-4-5-theorem CI job compares against.
 """
 
 import contextlib
@@ -46,6 +51,7 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 EXIT_CODES = os.path.join(GOLDEN, "exit_codes.json")
 FIXTURES = ("a2_tilt", "a3_silt", "paper_nakayama2")
 LINEAR_A4 = "linear_a4"
+NAKAYAMA = ("nakayama_3_3", "nakayama_3_4")
 
 
 def linear_a4_text():
@@ -98,6 +104,14 @@ def _cases():
     for cmd in ("check", "endo"):
         out.append(("linear_a4-%s.txt" % cmd, [cmd, LINEAR_A4, cpx]))
         out.append(("linear_a5-%s.txt" % cmd, [cmd, a5_alg, a5_cpx]))
+    for nak in NAKAYAMA:
+        alg = os.path.join(GOLDEN, nak + ".alg")
+        cpx = os.path.join(GOLDEN, nak + ".cpx")
+        out.append(("%s-check.txt" % nak, ["check", alg, cpx]))
+        out.append(("%s-theorem.json" % nak,
+                    ["theorem", alg, cpx, "--report", "json"]))
+        out.append(("%s-battery.json" % nak,
+                    ["battery", alg, "--report", "json"]))
     return out
 
 

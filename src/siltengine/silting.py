@@ -845,22 +845,24 @@ def bongartz_complete(P, rng=None):
 # ---- module battery -------------------------------------------------------
 
 
-def module_battery(A, torsion=None, max_dim=30, cap=60, seed=0, rounds=8):
-    """Deterministic list of indecomposables closed under standard moves.
+def module_battery(A, torsion=None, max_dim=30, cap=60, seed=0):
+    """Deterministic list of indecomposables, knitted along almost split
+    sequences from the simples, projectives and injectives (and, given a
+    torsion pair, its modules and the parts of each projective's canonical
+    sequence).
 
-    Returns (modules, certified).  The closure is semi-naive: each round
-    applies radical, socle quotient, tau and tau inverse only to the modules
-    found since the last round, and takes Ext^1 extensions only for the
-    ordered pairs not yet tried, so each move is applied once per module and
-    each Ext pair once.  A move or pair already tried can only give back a
-    class the battery holds or one it dropped, so the modules and their
-    order are those of re-applying everything every round.  certified means
-    a round added nothing, and a last tau / tau inverse pass over the
-    modules that have not had them added nothing, without dropping or
-    capping anything.
+    Returns (modules, certified).  Each module X in turn adds the summands
+    of the middle term of the almost split sequence ending at X, or of
+    rad X when X is projective.  certified means every module had its
+    turn and no summand was dropped for max_dim or cap; then the battery
+    holds every indecomposable (Auslander-Reiten-Smalo, Ch. VI: a nonzero
+    map from an indecomposable Y into an injective of the battery that is
+    not an isomorphism factors through these neighbours, and by the
+    Harada-Sai lemma such factorizations end at Y itself).  On a
+    representation-infinite algebra the knit never closes, so the battery
+    is not certified.
     """
     rng = random.Random(seed)
-    F = A.field
     items = []
     state = {"dropped": False}
 
@@ -886,10 +888,6 @@ def module_battery(A, torsion=None, max_dim=30, cap=60, seed=0, rounds=8):
                 continue
             items.append(S)
 
-    def add_tau(M):
-        add(mod.tau(M))
-        add(mod.tau_inverse(M))
-
     for c in range(A.nclasses):
         add(mod.simple_module(A, c))
         add(mod.projective_module(A, c))
@@ -904,41 +902,16 @@ def module_battery(A, torsion=None, max_dim=30, cap=60, seed=0, rounds=8):
             tP, _, PtP, _ = torsion.canonical_sequence(P)
             add(tP)
             add(PtP)
-    unary_done = 0  # items[:unary_done] have had the four moves
-    ext_done = set()  # index pairs (i, j) whose Ext^1(items[i], items[j]) ran
-    for _ in range(rounds):
-        before = len(items)
-        for M in items[unary_done:before]:
-            add(mod.submodule(M, mod.radical_vectors(M))[0])
-            add(mod.quotient_module(M, mod.socle_vectors(M))[0])
-            add_tau(M)
-        unary_done = before
-        for i, M in enumerate(list(items)):
-            for j, N in enumerate(list(items)):
-                if (i, j) in ext_done:
-                    continue
-                ext_done.add((i, j))
-                ext = mod.ext_space(M, N, 1)
-                if ext.dim == 0:
-                    continue
-                quot = linalg.complement(F, ext.coboundaries, ext.cocycles)
-                for r in range(quot.shape[0]):
-                    E, _, _ = mod.extension_sequence(M, N, ext, quot[r])
-                    add(E)
-        if len(items) == before:
-            break
-    else:
-        state["dropped"] = True
-    # fixpoint confirmation: tau and tau inverse of the modules without them
-    before = len(items)
-    for M in items[unary_done:before]:
-        add_tau(M)
-    certified = (len(items) == before) and not state["dropped"]
+    for X in items:  # the loop reaches the items it appends
+        if mod.tau(X).total:
+            add(mod.ar_sequence(X)[1])
+        else:
+            add(mod.submodule(X, mod.radical_vectors(X))[0])
     order = sorted(
         range(len(items)),
         key=lambda k: (items[k].total, tuple(items[k].dims), k),
     )
-    return [items[k] for k in order], certified
+    return [items[k] for k in order], not state["dropped"]
 
 
 # ---- torsion-class resolutions (four constructive sequences) ---------------

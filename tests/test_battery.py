@@ -1,22 +1,29 @@
-"""The semi-naive module battery adds the same modules as the naive one.
+"""The knitted module battery: the naive closure as an oracle, the knit's
+own moves, and battery sizes known from theory.
 
-`ref_module_battery` is the closure that re-applies every move to every
-module and recomputes Ext^1 for every pair each round.  The battery in
-`silting` applies each move once per module and each Ext pair once; both
-must return the same number of modules, the same ordered list of dimension
-vectors and the same `certified` flag.  Only the draws from the battery's
-own seeded generator differ between the two.
+`ref_module_battery` is the closure that re-applies radical, socle
+quotient, tau and tau inverse to every module and takes the middle terms
+of every Ext^1 extension between every pair, each round.  The battery in
+`silting` knits along almost split sequences instead; both must return
+the same number of modules, the same ordered list of dimension vectors
+and the same `certified` flag.  Only the draws from the battery's own
+seeded generator differ between the two.
 
 The cases cover A with and without its torsion pair on the fixtures and
 linear A4 / A5, B = End(P) with its torsion pair, the fixtures over Q, and
-small `cap`, `max_dim` and `rounds`, which drop modules and leave work for
-the closing tau / tau inverse pass.
+small `cap` and `max_dim`, which drop modules.  The pins from theory
+count the indecomposables of representation-finite algebras: n(n+1)/2 on
+linear A_n (one per interval of vertices) and n*l on the self-injective
+Nakayama algebra N(n, l) (the uniserials of length 1..l at each vertex).
+The Kronecker algebra is representation-infinite, so its battery is never
+certified.
 """
 
 import collections
 import functools
 import os
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -150,7 +157,7 @@ CASES = (
     + [("a2_tilt", "Q", "A+torsion", {})]
     + [(name, None, "A+torsion", kw)
        for name in ("paper_nakayama2", "linear_a4")
-       for kw in ({"cap": 3}, {"max_dim": 1}, {"rounds": 1})]
+       for kw in ({"cap": 3}, {"max_dim": 1})]
 )
 
 
@@ -172,57 +179,134 @@ def test_battery_matches_naive_closure(case):
     assert got_cert == want_cert
 
 
-@pytest.mark.parametrize("name,kw", [
-    ("paper_nakayama2", {}), ("linear_a4", {}), ("linear_a4", {"rounds": 1}),
-], ids=["paper_nakayama2", "linear_a4", "linear_a4-rounds=1"])
-def test_each_move_once_per_module_and_each_ext_pair_once(
-        name, kw, monkeypatch):
-    """Socle quotient, tau and tau inverse run once per module and Ext^1
-    once per ordered pair; with rounds to spare every module gets every
-    move and every pair, and when the rounds run out the closing pass
-    still gives every module tau and tau inverse."""
-    ctx = _context(name)
-    seen = collections.defaultdict(list)
+def _is_projective(X):
+    ps, _ = mod.projective_cover(X)
+    return ps.module.total == X.total
+
+
+@pytest.mark.parametrize("name,side,kw", [
+    ("paper_nakayama2", "A+torsion", {}), ("linear_a4", "A+torsion", {}),
+    ("linear_a4", "B+torsion", {}), ("linear_a4", "A+torsion", {"cap": 3}),
+], ids=["paper_nakayama2", "linear_a4", "linear_a4-B", "linear_a4-cap=3"])
+def test_knit_takes_each_module_once_along_its_left_neighbours(
+        name, side, kw, monkeypatch):
+    """The battery itself builds the almost split sequence ending at each
+    non-projective module and the radical of each projective one, once
+    each and for nothing else; Ext^1 is computed only inside ar_sequence,
+    and tau inverse and socles are never taken."""
+    A, torsion = _side(_context(name), side)
+    calls = collections.defaultdict(list)  # name -> [(caller, args)]
 
     def counted(fn):
         def wrapper(*args):
-            seen[fn.__name__].append(args)
+            calls[fn.__name__].append((sys._getframe(1).f_code.co_name, args))
             return fn(*args)
         return wrapper
 
-    for fname in ("socle_vectors", "tau", "tau_inverse", "ext_space"):
+    for fname in ("ar_sequence", "radical_vectors", "ext_space",
+                  "tau_inverse", "socle_vectors"):
         monkeypatch.setattr(mod, fname, counted(getattr(mod, fname)))
-    battery, certified = silting.module_battery(
-        ctx.A, ctx.torsion_A, **kw
-    )
+    battery, _ = silting.module_battery(A, torsion, **kw)
     monkeypatch.undo()
 
-    def counts(fname):
-        return [sum(a[0] is X for a in seen[fname]) for X in battery]
+    def direct(fname):
+        return [args[0] for caller, args in calls[fname]
+                if caller == "module_battery"]
 
-    pair_counts = [
-        sum(a[0] is M and a[1] is N for a in seen["ext_space"])
-        for M in battery for N in battery
-    ]
-    ones = [1] * len(battery)
-    assert len(seen["ext_space"]) == sum(pair_counts)
-    assert counts("tau") == ones
-    assert counts("tau_inverse") == ones
-    if certified:
-        assert counts("socle_vectors") == ones
-        assert pair_counts == [1] * len(pair_counts)
-    else:
-        assert max(counts("socle_vectors")) == 1
-        assert max(pair_counts) == 1
-        assert min(counts("socle_vectors")) == 0
+    projective = [_is_projective(X) for X in battery]
+    assert 0 < sum(projective) < len(battery)
+    ar_args, rad_args = direct("ar_sequence"), direct("radical_vectors")
+    assert len(ar_args) + len(rad_args) == len(battery)
+    for X, proj in zip(battery, projective):
+        assert sum(Y is X for Y in ar_args) == (not proj)
+        assert sum(Y is X for Y in rad_args) == proj
+    assert len(calls["ar_sequence"]) == len(ar_args)
+    assert {caller for caller, _ in calls["ext_space"]} == {"ar_sequence"}
+    assert not calls["tau_inverse"] and not calls["socle_vectors"]
 
 
 def test_small_limits_drop_modules():
     """The small-limit cases above do exercise the dropped flag."""
     ctx = _context("linear_a4")
-    for kw in ({"cap": 3}, {"max_dim": 1}, {"rounds": 1}):
+    for kw in ({"cap": 3}, {"max_dim": 1}):
         _, certified = silting.module_battery(ctx.A, ctx.torsion_A, **kw)
         assert not certified, kw
+
+
+# ---- pins from theory --------------------------------------------------------
+
+
+def _linear_text(n):
+    lines = ["field 32003", "vertices %d" % n]
+    lines += ["arrow x%d %d %d" % (i, i, i + 1) for i in range(1, n)]
+    return "\n".join(lines) + "\n"
+
+
+def _nakayama_text(n, length):
+    """N(n, length): the n-cycle a<i>: i -> i+1 with every path of the
+    given length zero."""
+    lines = ["field 32003", "vertices %d" % n]
+    lines += ["arrow a%d %d %d" % (i, i, i % n + 1) for i in range(1, n + 1)]
+    for i in range(n):
+        lines.append("relation " + ".".join(
+            "a%d" % ((i + k) % n + 1) for k in range(length)))
+    lines.append("nilpotency %d" % (length + 1))
+    return "\n".join(lines) + "\n"
+
+
+def _dims(battery):
+    return sorted(tuple(int(d) for d in M.dims) for M in battery)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_linear_an_battery_holds_every_interval_module(n):
+    """Linear A_n has one indecomposable per interval [i, j] of vertices."""
+    battery, certified = silting.module_battery(
+        cli.parse_algebra(_linear_text(n)))
+    want = sorted(tuple(int(i <= v <= j) for v in range(n))
+                  for i in range(n) for j in range(i, n))
+    assert certified
+    assert len(battery) == n * (n + 1) // 2
+    assert _dims(battery) == want
+
+
+@pytest.mark.parametrize("n,length", [(3, 3), (3, 4), (4, 5)])
+def test_nakayama_battery_holds_every_uniserial(n, length):
+    """N(n, l) has n*l indecomposables, the uniserial modules; the one of
+    length m at vertex i has one basis vector at each of i, ..., i+m-1
+    (mod n), whichever way the cycle is read."""
+    battery, certified = silting.module_battery(
+        cli.parse_algebra(_nakayama_text(n, length)))
+    want = []
+    for i in range(n):
+        for m in range(1, length + 1):
+            dims = [0] * n
+            for k in range(m):
+                dims[(i + k) % n] += 1
+            want.append(tuple(dims))
+    assert certified
+    assert len(battery) == n * length
+    assert _dims(battery) == sorted(want)
+
+
+def test_paper_nakayama2_battery_has_six_modules():
+    """The fixture is N(2, 3)."""
+    battery, certified = silting.module_battery(
+        cli.parse_algebra(_read(os.path.join(FIXDIR, "paper_nakayama2.alg"))))
+    assert certified
+    assert len(battery) == 6
+
+
+KRONECKER = "field 32003\nvertices 2\narrow a 1 2\narrow b 1 2\n"
+
+
+def test_kronecker_battery_is_not_certified():
+    """The Kronecker algebra is representation-infinite: the knit from its
+    injectives runs into max_dim and never closes."""
+    battery, certified = silting.module_battery(
+        cli.parse_algebra(KRONECKER), max_dim=10)
+    assert not certified
+    assert battery and all(M.total <= 10 for M in battery)
 
 
 def _same_action(M, N):

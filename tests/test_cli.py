@@ -325,6 +325,20 @@ def test_battery_command(capsys):
     assert "size=6" in out and "certified=1" in out
 
 
+def test_battery_on_kronecker_is_evidence(tmp_path, capsys):
+    # representation-infinite: the knit stops at the size bound, which is
+    # not a failure, but the battery is not certified to be complete
+    kron = tmp_path / "kronecker.alg"
+    kron.write_text("field 32003\nvertices 2\narrow a 1 2\narrow b 1 2\n")
+    rc = cli.main([
+        "battery", str(kron), "--battery-max-dim", "10", "--report", "json",
+    ])
+    head = json.loads(capsys.readouterr().out)["checks"][0]
+    assert rc == 0
+    assert head["name"] == "battery" and head["status"] == "evidence"
+    assert head["dims"]["certified"] == 0
+
+
 def test_out_directory(tmp_path, capsys):
     rc = cli.main([
         "check", fixture("a2_tilt.alg"), fixture("a2_tilt.cpx"),

@@ -306,10 +306,15 @@ class Algebra:
         if self._corner_is_local(corner):
             return None
         ntrials = 48
+        # the min poly of lm(x) on all of A, read off the powers of 1_A:
+        # from e it would be x's min poly in eAe, without the factor z
+        # that lm(x) has when e != 1
+        one = self.unit().reshape(1, -1)
         for x in linalg.candidates(self.field, corner, rng, ntrials,
                                    eager=True):
             u = split_by_min_poly(
-                self.field, x, self.lm(x), e, lambda a, b: self.el_mult(a, b)
+                self.field, x, self.lm(x), e,
+                lambda a, b: self.el_mult(a, b), one,
             )
             if u is not None:
                 return u
@@ -378,11 +383,18 @@ class Algebra:
 # ---- generic idempotent machinery ---------------------------------------
 
 
-def operator_min_poly(F, m):
-    """Minimal polynomial (coefficient list, low to high, monic) of a matrix."""
-    n = m.shape[0]
-    powers = [F.eye(n).reshape(-1)]
-    cur = F.eye(n)
+def operator_min_poly(F, m, start=None):
+    """Minimal polynomial (coefficient list, low to high, monic) of a matrix.
+
+    Read off the Krylov sequence start, start m, start m^2, ... of a block
+    of rows: the first power that the earlier ones span gives the least
+    poly q with start q(m) = 0.  The default start, the identity, gives
+    the min poly of m.  For m = lm(x) on a unital algebra the unit's row
+    alone gives it too, in dim coordinates instead of dim^2: its sequence
+    is 1, x, x^2, ..., and q(lm(x)) = lm(q(x)) = 0 iff q(x) = 0.
+    """
+    cur = F.eye(m.shape[0]) if start is None else start
+    powers = [cur.reshape(-1)]
     while True:
         cur = F.matmul(cur, m)
         v = cur.reshape(-1)
@@ -410,16 +422,17 @@ def _eval_poly_on_element(F, coeffs, x, mult_fn, unit):
     return acc
 
 
-def split_by_min_poly(F, x, op_matrix, unit, mult_fn):
+def split_by_min_poly(F, x, op_matrix, unit, mult_fn, start=None):
     """Nontrivial idempotent in the unital subalgebra generated by x, or None.
 
     unit is the identity of the ambient (corner) algebra; op_matrix is a
-    faithful matrix of x on some module (regular representation).  With
+    faithful matrix of x on some module (regular representation), whose
+    min poly `operator_min_poly` reads off the Krylov sequence of start.  With
     f^m the first prime-power factor of the min poly in sympy's
     `factor_list` order and g the cofactor, the idempotent is (v*g)(x) for
     v*g = 1 mod f^m: it acts as 1 on ker f(x)^m and as 0 on ker g(x).
     """
-    mp = operator_min_poly(F, op_matrix)
+    mp = operator_min_poly(F, op_matrix, start)
     vg = _idempotent_poly(mp, F.p if isinstance(F, linalg.GF) else None)
     if vg is None:
         return None

@@ -162,7 +162,9 @@ class HomSpace:
     degreewise `hom_space` bases, that meet f^i d_Y - d_X f^{i+1} = 0;
     the homotopies are the images s d_Y + d_X s of the `hom_space` bases
     of X^d -> Y^{d-1}.  Both are composed in batches with
-    `modules.compose_flats`, one product per degree and class.
+    `modules.compose_flats`, one product per degree and class.  The terms
+    of a `ProjComplex.module_form` are ProjSum modules, whose `hom_space`
+    bases are read off generator images without a solve.
     """
 
     def __init__(self, X, Y):
@@ -483,7 +485,7 @@ class ProjComplex:
     def module_form(self):
         """(ModuleComplex, {degree: ProjSum})."""
         if self._module_form is None:
-            psums = {d: mod.ProjSum(self.A, cl) for d, cl in self.terms.items()}
+            psums = {d: mod.proj_sum(self.A, cl) for d, cl in self.terms.items()}
             terms = {d: ps.module for d, ps in psums.items()}
             dmaps = {}
             for d in self.diffs:
@@ -698,24 +700,36 @@ def chain_end_algebra(X):
 def decompose_complex(X, rng=None):
     """Indecomposable summands of a projective complex, up to isomorphism.
 
-    Minimizes first, then splits idempotent chain endomorphisms.  Returns
-    a list of groups of ProjComplex summands; summands within a group are
-    isomorphic.
+    Minimizes first, then splits the identity of the chain endomorphism
+    algebra into primitive idempotents and takes the image of each.
+    Returns a list of groups of ProjComplex summands; summands within a
+    group are isomorphic.  `summand_class_count` counts the groups with
+    the same random draws and no images.
     """
+    mc, basis_maps, groups = _primitive_idempotents(X, rng)
+    return [
+        [_standardize_summand(mc, mod.combination(basis_maps, el))
+         for el in g]
+        for g in groups
+    ]
+
+
+def summand_class_count(X, rng):
+    """len(decompose_complex(X, rng)): the isomorphism classes of
+    indecomposable summands of X.  `_standardize_summand` draws no random
+    numbers, so rng ends in the same state as after `decompose_complex`."""
+    return len(_primitive_idempotents(X, rng)[2])
+
+
+def _primitive_idempotents(X, rng):
+    """(module form of minimized X, chain End basis maps, primitive
+    idempotents of End grouped by isomorphism class)."""
     Xm = minimize(X)
     if not Xm.terms:
-        return []
+        return None, [], []
     mc, _ = Xm.module_form()
     E, basis_maps, _ = chain_end_algebra(mc)
-    groups = E.decompose_identity(rng)
-    out = []
-    for g in groups:
-        grp = []
-        for el in g:
-            emap = mod.combination(basis_maps, el)
-            grp.append(_standardize_summand(mc, emap))
-        out.append(grp)
-    return out
+    return mc, basis_maps, E.decompose_identity(rng)
 
 
 def _standardize_summand(mc, emap):
@@ -829,8 +843,8 @@ def _nu_of_entry(A, Aop, a, cj, ck):
     multiplication by a on the opposite projectives.
     """
     # in the opposite algebra, a in e_{ck} A e_{cj} = e_{cj}^op A^op e_{ck}^op
-    ps_j = mod.ProjSum(Aop, [cj])
-    ps_k = mod.ProjSum(Aop, [ck])
+    ps_j = mod.proj_sum(Aop, [cj])
+    ps_k = mod.proj_sum(Aop, [ck])
     f_op = ps_k.map_from_entries(ps_j, np.reshape(a, (1, 1, -1)))
     # dual over A: transpose blocks and swap direction
     Ij = mod.dual_module(ps_j.module, A)

@@ -20,6 +20,11 @@ on M.
 A map out of a sum of projectives e_{c_1} A + ... + e_{c_n} A is a free
 choice of generator images, generator k going into N e_{c_k}, so
 `ProjSum.hom_to` writes down a basis of Hom(P, N) without a kernel solve.
+`hom_space` reads Hom out of the module of a ProjSum that way, and solves
+the module-map conditions for every other source.  `proj_sum(A, classes)`
+builds one ProjSum per class list and keeps it on A, so complexes, covers
+and transposes over the same classes share its module and the resolutions
+kept on it.
 """
 
 import random
@@ -42,6 +47,7 @@ class Module:
         self._resolution = None  # see min_resolution
         self._tau = None  # see tau
         self._tau_inverse = None  # see tau_inverse
+        self.psum = None  # the ProjSum this is the module of, if any
 
     def piece(self, v, c):
         """Class-c block of a total-coordinate row vector (or matrix)."""
@@ -62,25 +68,47 @@ class Module:
         return F.reduce(m)
 
     def check(self):
-        """Module axioms against the multiplication table."""
+        """Module axioms against the multiplication table.
+
+        Each idempotent acts as the identity of its piece, and act[i]
+        act[j] = sum_k mult[i, j, k] act[k] whenever tgt(i) = src(j).
+        Laid at the columns of piece tgt(b) in a full-width row block,
+        act[b] becomes wide[b].  For each class pair (s, m), with I the
+        basis of e_s A e_m, J that of e_m A and K that of e_s A, one
+        product gives every act[i] wide[j] and one more every sum over k.
+        """
         F = self.field
         A = self.A
         for c in range(A.nclasses):
             b = A.idem[c]
             if not np.array_equal(self.act[b], F.eye(self.dims[c])):
                 return False
-        for i in range(A.dim):
-            for j in range(A.dim):
-                if A.tgt[i] != A.src[j]:
+        n = self.total
+        wide = []
+        for b in range(A.dim):
+            w = F.zeros((self.dims[int(A.src[b])], n))
+            t = int(A.tgt[b])
+            w[:, self.offsets[t]:self.offsets[t + 1]] = self.act[b]
+            wide.append(w)
+        starts = [np.flatnonzero(A.src == c) for c in range(A.nclasses)]
+        for s in range(A.nclasses):
+            K, ds = starts[s], self.dims[s]
+            for m in range(A.nclasses):
+                I, J = A.corner(s, m), starts[m]
+                if not I or not J.size:
                     continue
-                lhs = F.matmul(self.act[i], self.act[j])
-                rhs = F.zeros(
-                    (self.dims[int(A.src[i])], self.dims[int(A.tgt[j])])
+                # row (i, r), column (j, c) is entry (r, c) of act[i] wide[j]
+                lhs = F.matmul(
+                    np.concatenate([self.act[i] for i in I]),
+                    np.concatenate([wide[j] for j in J], axis=1),
+                ).reshape(len(I), ds, len(J), n).transpose(0, 2, 1, 3)
+                rhs = F.matmul(
+                    A.mult[np.ix_(I, J, K)].reshape(len(I) * len(J), len(K)),
+                    np.stack([wide[k] for k in K]).reshape(len(K), ds * n),
                 )
-                for k in range(A.dim):
-                    if A.mult[i, j, k] != 0:
-                        rhs += A.mult[i, j, k] * self.act[k]
-                if not np.array_equal(lhs, F.reduce(rhs)):
+                if not np.array_equal(
+                    lhs.reshape(len(I) * len(J), ds * n), rhs
+                ):
                     return False
         return True
 
@@ -240,16 +268,32 @@ def hom_space(M, N):
     """All module maps M -> N.
 
     Returns (maps, flat) where flat is a canonical row basis of the
-    flattened coordinate space.
+    flattened coordinate space.  Out of the module of a ProjSum the maps
+    are free on generator images, and flat is the canonical form of
+    `ProjSum.hom_to`; otherwise it is the kernel of the conditions
+    act_M[b] f[t] = f[s] act_N[b].
     """
     F = M.field
     A = M.A
     nflat = sum(M.dims[c] * N.dims[c] for c in range(A.nclasses))
     if nflat == 0:
         return [], F.zeros((0, 0))
+    if M.psum is not None:
+        sol = M.psum.hom_to(N)
+    else:
+        sol = _hom_conditions_kernel(M, N, nflat)
+    sol = linalg.row_space(F, sol)
+    maps = [map_from_flat(M, N, sol[i]) for i in range(sol.shape[0])]
+    return maps, sol
+
+
+def _hom_conditions_kernel(M, N, nflat):
+    """Rows spanning the flat maps M -> N that meet the conditions
+    act_M[b] @ f[t] - f[s] @ act_N[b] = 0, one Python row per entry
+    (i, j) over the unknowns f[t][k, j] and f[s][i, l]."""
+    F = M.field
+    A = M.A
     off = _flat_offsets(M, N)
-    # condition act_M[b] @ f[t] - f[s] @ act_N[b] = 0, one Python row per
-    # entry (i, j) over the unknowns f[t][k, j] and f[s][i, l]
     rows = []
     for b in range(A.dim):
         s, t = int(A.src[b]), int(A.tgt[b])
@@ -266,10 +310,7 @@ def hom_space(M, N):
                     if a:
                         row[off[s] + i * ns + l] -= a
                 rows.append(row)
-    sol = linalg.kernel(F, F.array(rows)) if rows else F.eye(nflat)
-    sol = linalg.row_space(F, sol)
-    maps = [map_from_flat(M, N, sol[i]) for i in range(sol.shape[0])]
-    return maps, sol
+    return linalg.kernel(F, F.array(rows)) if rows else F.eye(nflat)
 
 
 def _flat_offsets(M, N):
@@ -566,11 +607,24 @@ def socle_vectors(M):
 # ---- projective covers and presentations --------------------------------
 
 
+def proj_sum(A, classes):
+    """ProjSum of e_c A over the list of classes, built once per (A,
+    classes) and kept on A like `projective_module`."""
+    if getattr(A, "_proj_sum_cache", None) is None:
+        A._proj_sum_cache = {}
+    key = tuple(classes)
+    if key not in A._proj_sum_cache:
+        A._proj_sum_cache[key] = ProjSum(A, key)
+    return A._proj_sum_cache[key]
+
+
 class ProjSum:
     """Direct sum of indecomposable projectives with generator bookkeeping.
 
     Summand k's class-d basis starts at row starts[k][d] of the sum's
-    class-d block, as `direct_sum` lays it out.
+    class-d block, as `direct_sum` lays it out.  The sum's module knows
+    its ProjSum (module.psum), so `hom_space` reads Hom out of it from
+    `hom_to`.
     """
 
     def __init__(self, A, classes):
@@ -598,6 +652,7 @@ class ProjSum:
                 ],
             )
             self.incls, self.projs, self.gens, self.summands = [], [], [], []
+        self.module.psum = self
 
     def map_to(self, M, gen_images):
         """ModuleMap sending generator k to the total vector gen_images[k]."""
@@ -692,7 +747,7 @@ def top_generators(M):
 def projective_cover(M):
     """(ProjSum P, cover map P.module -> M), minimal by construction."""
     gens, classes = top_generators(M)
-    P = ProjSum(M.A, classes)
+    P = proj_sum(M.A, classes)
     f = P.map_to(M, gens)
     if not f.is_surjective():
         raise RuntimeError("projective cover map is not surjective")
@@ -734,8 +789,8 @@ def transpose_module(M):
     Aop = opposite_algebra(A)
     P1, P0, d1, _ = min_presentation(M)
     entries = P1.entry_matrix_to(P0, d1)
-    Q0 = ProjSum(Aop, P0.classes)
-    Q1 = ProjSum(Aop, P1.classes)
+    Q0 = proj_sum(Aop, P0.classes)
+    Q1 = proj_sum(Aop, P1.classes)
     # Hom(-, A) transposes the entry matrix; elements keep their coordinates
     dt = Q0.map_from_entries(Q1, entries.transpose(1, 0, 2))
     return quotient_module(Q1.module, image_vectors(dt))[0]

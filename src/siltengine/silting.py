@@ -53,7 +53,7 @@ def is_silting(P, rng=None):
 
 def has_all_classes(P, rng=None):
     """Does P have as many summand classes as A has simples?"""
-    return len(cx.decompose_complex(P, rng)) == P.A.nclasses
+    return cx.summand_class_count(P, rng) == P.A.nclasses
 
 
 def is_tilting(P, rng=None):
@@ -527,7 +527,7 @@ class SiltingContext:
         )
         pre, _ = is_presilting(self.Q)
         self.q_classes = (
-            len(cx.decompose_complex(self.Q, self.rng)) if pre else 0
+            cx.summand_class_count(self.Q, self.rng) if pre else 0
         )
         if self.q_classes != self.B.nclasses:
             raise RuntimeError("induced complex over B is not silting")

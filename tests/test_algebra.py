@@ -494,6 +494,53 @@ def test_factor_equals_sympy_on_min_polys(field):
 # GF(p), kept here as a reference ------------------------------------------
 
 
+def _ref_operator_min_poly(F, m):
+    """operator_min_poly from the powers of m, in dim^2 coordinates."""
+    n = m.shape[0]
+    powers = [F.eye(n).reshape(-1)]
+    cur = F.eye(n)
+    while True:
+        cur = F.matmul(cur, m)
+        v = cur.reshape(-1)
+        sol = linalg.coords_in_basis(F, np.stack(powers, axis=0), v)
+        if sol is not None:
+            coeffs = [-sol[i] for i in range(len(powers))] + [1]
+            return algebra._normalize_poly(F, coeffs)
+        powers.append(v)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_min_poly_from_unit_equals_matrix_reference(field, monkeypatch):
+    """The min poly of lm(x) read off the powers of 1_A equals the one
+    read off the powers of lm(x), on every candidate the idempotent
+    search tries, also below an idempotent e != 1, where x's min poly in
+    eAe lacks the factor z."""
+    calls = []
+    split = algebra.split_by_min_poly
+
+    def record(*args):
+        calls.append(args)
+        return split(*args)
+
+    monkeypatch.setattr(algebra, "split_by_min_poly", record)
+    # upper triangular 3 x 3 matrices: 1 splits into three idempotents,
+    # so the search runs again below one of its halves
+    t3 = [np.eye(3, dtype=int)]
+    for i, j in ((0, 1), (0, 2), (1, 2), (1, 1), (2, 2)):
+        t3.append(np.zeros((3, 3), dtype=int))
+        t3[-1][i, j] = 1
+    algebras = _algebras(field) + [matrix_span_algebra(field, t3)]
+    for A, seed in itertools.product(algebras, range(3)):
+        A.decompose_identity(random.Random(seed))
+    monkeypatch.undo()
+    below = 0
+    for _, x, op, e, _, start in calls:
+        assert algebra.operator_min_poly(field, op, start) == \
+            _ref_operator_min_poly(field, op)
+        below += not np.array_equal(e, start[0])
+    assert below
+
+
 def _ref_split_by_min_poly(F, x, op_matrix, unit, mult_fn):
     def scalar(c):
         if isinstance(F, linalg.GF):

@@ -19,8 +19,16 @@ module decomposed while building the context and its batteries, every
 induced matrix formed while the theorem is verified on them, and Ext,
 almost split sequences and factorizations on those batteries, on the
 three fixtures and linear A4 over GF(32003) and Q.
+
+On the same runs, Hom out of a ProjSum's module, which `hom_space` reads
+off generator images, is compared with the condition-matrix reference;
+`summand_class_count` with the length of `decompose_complex` and the rng
+state it leaves; every min poly the idempotent search reads off the
+powers of the unit with the one of the whole matrix lm(x); and the
+batched `Module.check` with its per-pair body.
 """
 
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -36,6 +44,7 @@ from siltengine import modules as mod
 from siltengine import silting
 
 from conftest import make_a3_algebra
+from test_algebra import _ref_operator_min_poly
 from test_coordinates import NAMES, _input
 
 
@@ -254,6 +263,29 @@ def _ref_ext_space(M, N, degree):
     return cocycles.shape[0] - coboundaries.shape[0], cocycles, coboundaries
 
 
+def _ref_module_check(M):
+    """Module.check with one product and one sum per pair of basis
+    elements."""
+    F = M.field
+    A = M.A
+    for c in range(A.nclasses):
+        b = A.idem[c]
+        if not np.array_equal(M.act[b], F.eye(M.dims[c])):
+            return False
+    for i in range(A.dim):
+        for j in range(A.dim):
+            if A.tgt[i] != A.src[j]:
+                continue
+            lhs = F.matmul(M.act[i], M.act[j])
+            rhs = F.zeros((M.dims[int(A.src[i])], M.dims[int(A.tgt[j])]))
+            for k in range(A.dim):
+                if A.mult[i, j, k] != 0:
+                    rhs += A.mult[i, j, k] * M.act[k]
+            if not np.array_equal(lhs, F.reduce(rhs)):
+                return False
+    return True
+
+
 def _ref_factor_through(h, g):
     """factor_through as it was: one ModuleMap composition with g per
     basis map of Hom(src h, src g)."""
@@ -321,10 +353,15 @@ def built(request):
     are built, and the theorem is verified on them."""
     _, P = _input(*request.param)
     spaces, complexes, modules, induced = [], [], [], []
+    homs, decomposed, splits, checked = {}, [], [], []
     init = cx.HomSpace.__init__
     chain_end = cx.chain_end_algebra
     end = mod.end_algebra
     induce = cx.HomSpace.induced
+    hom = mod.hom_space
+    primitive = cx._primitive_idempotents
+    split = algebra.split_by_min_poly
+    check = mod.Module.check
 
     def record_space(self, X, Y):
         init(self, X, Y)
@@ -343,11 +380,32 @@ def built(request):
         induced.append((self, tgt, left, right, out))
         return out
 
+    def record_hom(M, N):
+        if M.psum is not None:
+            homs[id(M), id(N)] = (M, N)
+        return hom(M, N)
+
+    def record_decomposed(X, rng):
+        decomposed.append(X)
+        return primitive(X, rng)
+
+    def record_split(*args):
+        splits.append(args)
+        return split(*args)
+
+    def record_checked(M):
+        checked.append(M)
+        return check(M)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cx.HomSpace, "__init__", record_space)
         mp.setattr(cx, "chain_end_algebra", record_complex)
         mp.setattr(mod, "end_algebra", record_module)
         mp.setattr(cx.HomSpace, "induced", record_induced)
+        mp.setattr(mod, "hom_space", record_hom)
+        mp.setattr(cx, "_primitive_idempotents", record_decomposed)
+        mp.setattr(algebra, "split_by_min_poly", record_split)
+        mp.setattr(mod.Module, "check", record_checked)
         silting.is_presilting(P)
         silting.has_all_classes(P)
         silting.negative_hom_vanishes(P)
@@ -360,6 +418,8 @@ def built(request):
     return SimpleNamespace(
         spaces=spaces, complexes=complexes, modules=modules,
         induced=induced, ctx=ctx, batteries=batteries,
+        homs=list(homs.values()), decomposed=decomposed, splits=splits,
+        checked=checked,
     )
 
 
@@ -390,6 +450,77 @@ def test_hom_space_equals_entrywise_reference(built):
         assert len(maps) == len(ref_maps)
         for f, g in zip(maps, ref_maps):
             _same(f.flat(), g.flat())
+
+
+def test_hom_space_out_of_proj_sums_equals_condition_reference(built):
+    """Every Hom out of a ProjSum's module that the engine reads, which
+    hom_space takes from generator images, equals the kernel of the
+    condition matrix; so do Hom out of the empty sum and Hom into modules
+    that vanish at some generator's class."""
+    pairs = list(built.homs)
+    assert pairs
+    for R in (built.ctx.A, built.ctx.B):
+        targets = [mod.simple_module(R, c) for c in range(R.nclasses)]
+        targets.append(cx.zero_module(R))
+        for cls in ([], [0], list(range(R.nclasses)) + [0]):
+            M = mod.proj_sum(R, cls).module
+            pairs += [(M, N) for N in targets + [M]]
+    for M, N in pairs:
+        assert M.psum is not None
+        maps, flat = mod.hom_space(M, N)
+        ref_maps, ref_flat = _ref_hom_space(M, N)
+        _same(flat, ref_flat)
+        assert len(maps) == len(ref_maps)
+        for f, g in zip(maps, ref_maps):
+            _same(f.flat(), g.flat())
+
+
+def test_summand_class_count_equals_decomposition(built):
+    """On every complex that decompose_complex or summand_class_count is
+    given, the count is the number of summand classes, and the rng ends
+    where the decomposition leaves it."""
+    assert built.decomposed
+    moved = False
+    for X in built.decomposed:
+        for seed in (0, 1):
+            r1, r2 = random.Random(seed), random.Random(seed)
+            count = cx.summand_class_count(X, r1)
+            assert count == len(cx.decompose_complex(X, r2))
+            assert r1.getstate() == r2.getstate()
+            moved |= r1.getstate() != random.Random(seed).getstate()
+    assert moved
+
+
+def test_split_min_polys_equal_matrix_reference(built):
+    """Every min poly the idempotent search reads off the Krylov sequence
+    of the unit equals the min poly of the whole matrix lm(x)."""
+    splits = built.splits
+    assert splits
+    for F, _, op, _, _, start in splits:
+        assert algebra.operator_min_poly(F, op, start) == \
+            _ref_operator_min_poly(F, op)
+
+
+def test_module_check_equals_per_pair_reference(built):
+    """Module.check on every module checked or decomposed while the
+    context and batteries are built and the theorem is verified, and on
+    copies broken at one action matrix, equals the per-pair check."""
+    seen, verdicts = set(), set()
+    for M in built.checked + built.modules:
+        if id(M) in seen:
+            continue
+        seen.add(id(M))
+        F, A = M.field, M.A
+        assert M.check() is _ref_module_check(M) is True
+        for b in range(A.dim):
+            if not M.act[b].size:
+                continue
+            act = list(M.act)
+            act[b] = F.reduce(act[b] + 1)
+            broken = mod.Module(A, M.dims, act)
+            verdicts.add(broken.check())
+            assert broken.check() is _ref_module_check(broken)
+    assert False in verdicts
 
 
 def test_chain_end_algebra_equals_per_pair_reference(built):

@@ -29,8 +29,10 @@ tests/golden/linear_a6-ar.txt, the text report of `ar` on it, which the
 linear-a6-theorem CI job compares against under a time limit, nor
 tests/golden/linear_a8-theorem.json, linear_a8-endo.txt and
 linear_a8-ar.txt, the JSON `theorem` and text `endo` and `ar` reports on
-linear A8 (linear_a8.alg, linear_a8.cpx), which the linear-a8-theorem CI
-job compares against, nor tests/golden/nakayama_4_5-theorem.json, the JSON
+linear A8 (linear_a8.alg, linear_a8.cpx), and linear_a8-check.txt, its
+`check` report, which the linear-a8-theorem CI job compares against (the
+same job compares `silt complete` of linear_a8_seed.cpx, P2 --x1--> P1,
+with linear_a8.cpx), nor tests/golden/nakayama_4_5-theorem.json, the JSON
 `theorem` report on N(4,5) (nakayama_4_5.alg, nakayama_4_5.cpx), which the
 nakayama-4-5-theorem CI job compares against.
 """

@@ -288,11 +288,15 @@ FIELD_IDS = ["GF32003", "Q"]
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_projsum_hom_to_spans_hom_space(field):
+    """hom_to spans the maps that meet the module-map conditions, as the
+    condition-matrix reference solves them."""
+    from test_batched_maps import _ref_hom_space
+
     for A, battery in _battery_cases(field):
         for ps in _proj_sums(A, battery):
             for N in battery + [ps.module]:
                 flat = ps.hom_to(N)
-                _, want = modules.hom_space(ps.module, N)
+                _, want = _ref_hom_space(ps.module, N)
                 assert flat.shape[0] == sum(N.dims[c] for c in ps.classes)
                 assert linalg.rank(field, flat) == flat.shape[0]
                 got = linalg.row_space(field, flat) if flat.shape[0] else \
@@ -348,6 +352,8 @@ def _same_ext(a, b):
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_ext_space_fresh_equals_cached_either_order(field, monkeypatch):
+    from test_batched_maps import _ref_hom_space
+
     for A, battery in _battery_cases(field):
         for M in battery:
             up, down = _fresh(M), _fresh(M)
@@ -358,16 +364,35 @@ def test_ext_space_fresh_equals_cached_either_order(field, monkeypatch):
                 _same_ext(modules.ext_space(up, N, 2), fresh[2])
                 _same_ext(modules.ext_space(down, N, 2), fresh[2])
                 _same_ext(modules.ext_space(down, N, 1), fresh[1])
-    # the same results as with hom_space's bases of Hom(P_i, N)
+    # the same results as with bases of Hom(P_i, N) solved from the
+    # module-map conditions (hom_space itself reads them off hom_to)
     for A, battery in _battery_cases(field):
         got = [[modules.ext_space(M, N, 1) for N in battery]
                for M in battery]
         monkeypatch.setattr(modules.ProjSum, "hom_to",
-                            lambda ps, N: modules.hom_space(ps.module, N)[1])
+                            lambda ps, N: _ref_hom_space(ps.module, N)[1])
         for M, row in zip(battery, got):
             for N, ext in zip(battery, row):
                 _same_ext(ext, modules.ext_space(_fresh(M), N, 1))
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_proj_sum_is_built_once_per_algebra_and_class_list(field):
+    from conftest import make_paper_algebra
+
+    from siltengine import complexes
+
+    A = make_paper_algebra(field)
+    for cls in ([], [0], [1, 0, 0]):
+        assert modules.proj_sum(A, cls) is modules.proj_sum(A, tuple(cls))
+        assert modules.proj_sum(A, cls).module.psum is \
+            modules.proj_sum(A, cls)
+    assert modules.proj_sum(A, [0, 1]) is not modules.proj_sum(A, [1, 0])
+    # complexes over the same classes share their terms
+    X = complexes.stalk_proj_complex(A, [0, 1])
+    Y = complexes.stalk_proj_complex(A, [0, 1], degree=-1)
+    assert X.module_form()[0].term(0) is Y.module_form()[0].term(-1)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

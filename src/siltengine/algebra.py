@@ -125,10 +125,15 @@ class Algebra:
         return self.field.matmul(y.reshape(1, self.dim), self.lm(x))[0]
 
     def lm(self, x):
-        """Matrix M with (x*y) = y @ M for row vectors y."""
+        """Matrix M with (x*y) = y @ M for row vectors y.
+
+        x may be a batch of shape (..., dim): the result has shape
+        (..., dim, dim), one matrix per element, from one product.
+        """
         d = self.dim
         return self.field.matmul(
-            x.reshape(1, d), self.mult.reshape(d, d * d)).reshape(d, d)
+            x.reshape(-1, d), self.mult.reshape(d, d * d)
+        ).reshape(x.shape[:-1] + (d, d))
 
     def rm(self, x):
         """Matrix M with (y*x) = y @ M for row vectors y."""
@@ -228,9 +233,6 @@ class Algebra:
             return self.field.zeros((0, self.dim))
         prods = [self.field.matmul(right, self.lm(u)) for u in left]
         return linalg.row_space(self.field, np.concatenate(prods, axis=0))
-
-    def in_radical(self, x):
-        return linalg.in_span(self.field, self.radical(), x)
 
     def corner_inverse(self, x, cls):
         """Inverse of x inside the local corner e_cls A e_cls, or None."""

@@ -39,12 +39,11 @@ def connecting_term_check(ctx, i):
     """
     A = ctx.A
     name = "connecting-term-%d" % (i + 1)
+    left = ctx.hom_P_of(mod.injective_module(A, i), 0).module
     if stalk_in_add_p(ctx, i, shift=1):
-        left = ctx.hom_P_of(mod.injective_module(A, i), 0).module
         ok = left.total == 0
         return _entry(name, "skipped" if ok else "fail",
                       {"left": left.total})
-    left = ctx.hom_P_of(mod.injective_module(A, i), 0).module
     right = ctx.hom_P_of(mod.projective_module(A, i), 1).module
     moved = mod.tau_inverse(left)
     ok = mod.modules_isomorphic(moved, right, ctx.rng) is not None
@@ -125,12 +124,12 @@ def splitting_check(ctx, battery=None, certified=False):
     fside = [X for X in battery if tp.in_free(X)]
     for M in tside:
         for N in fside:
-            if mod.ext_dim(M, N, 2) != 0:
+            ext2 = mod.ext_dim(M, N, 2)
+            if ext2 != 0:
                 # an explicit nonzero Ext^2 certifies non-splitting
                 return _entry(
                     "splitting", "certified",
-                    {"verdict": "COUNTEREXAMPLE",
-                     "ext2": mod.ext_dim(M, N, 2)},
+                    {"verdict": "COUNTEREXAMPLE", "ext2": ext2},
                     witness="Ext^2 nonzero on a torsion/torsion-free pair "
                     "with dimension vectors %s, %s"
                     % (M.dim_vector(), N.dim_vector()),

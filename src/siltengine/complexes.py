@@ -9,7 +9,10 @@ Two representations are used together:
   recorded by summand classes and an algebra-entry matrix per
   differential.  Entry [j, k] lies in e_{c_k} A e_{d_j} and sends
   generator j to generator k times the entry.  This representation
-  supports minimization and summand bookkeeping.
+  supports minimization and summand bookkeeping.  Every computation on
+  entries reads them through one batched `Algebra.lm`: `entry_compose`
+  (which minimization's elimination step calls), the module form
+  (`ProjSum.map_from_entries`) and the Nakayama functor `nu_complex`.
 """
 
 import functools
@@ -57,7 +60,7 @@ class ModuleComplex:
     def shift(self, n):
         """X[n]^i = X^{i+n} with differential scaled by (-1)^n."""
         F = self.field
-        sign = 1 if n % 2 == 0 else neg_one(F)
+        sign = 1 if n % 2 == 0 else linalg.neg_one(F)
         terms = {d - n: t for d, t in self.terms.items()}
         dmaps = {d - n: m.scale(sign) for d, m in self.dmaps.items()}
         return ModuleComplex(self.A, terms, dmaps)
@@ -380,60 +383,47 @@ def find_homotopy(hs, f):
     return out
 
 
-def neg_one(F):
-    return -1 % F.p if isinstance(F, linalg.GF) else -1
-
-
 def mapping_cone(f):
     """cone of f : X -> Y at module level.
 
-    cone^i = Y^i + X^{i+1}; returns (cone, incl: Y -> cone,
-    proj: cone -> X[1]), both verified chain maps.
+    cone^i = Y^i + X^{i+1} with differential [[-d_Y, 0], [f, d_X]], the
+    unshifted d_X, written block by block; returns (cone, incl: Y ->
+    cone, proj: cone -> X[1]), both verified chain maps, with the sign
+    (-1)^i on their identity blocks.
     """
     X, Y = f.src, f.tgt
-    A = X.A
     F = X.field
-    X1 = X.shift(1)
-    degs = sorted(set(Y.terms) | set(X1.terms))
-    terms = {}
-    sums = {}
-    for d in degs:
-        S, incls, projs = mod.direct_sum([Y.term(d), X1.term(d)])
-        terms[d] = S
-        sums[d] = (S, incls, projs)
+    neg = linalg.neg_one(F)
+    degs = sorted(set(Y.terms) | {d - 1 for d in X.terms})
+    terms = {d: mod.direct_sum([Y.term(d), X.term(d + 1)])[0] for d in degs}
     dmaps = {}
-    neg = neg_one(F)
     for d in degs:
         if (d + 1) not in terms:
             continue
-        S0, _, projs0 = sums[d]
-        S1, incls1, _ = sums[d + 1]
-        m = mod.zero_map(S0, S1)
-        # Y block: -d_Y
-        m = m.add(
-            projs0[0].compose(Y.dmap(d).scale(neg)).compose(incls1[0])
-        )
-        # X[1] -> Y[1] block: f^{d+1}
-        m = m.add(projs0[1].compose(f.map_at(d + 1)).compose(incls1[0]))
-        # X[1] block: unshifted d_X; together with -d_Y and the chain-map
-        # property of f this gives d^2 = 0
-        m = m.add(
-            projs0[1].compose(X1.dmap(d).scale(neg)).compose(incls1[1])
-        )
-        dmaps[d] = m
-    C = ModuleComplex(A, terms, dmaps)
-    # both structure maps carry an alternating sign
-    imaps = {}
-    pmaps = {}
+        dy, fx, dx = Y.dmap(d), f.map_at(d + 1), X.dmap(d + 1)
+        mats = []
+        for c in range(X.A.nclasses):
+            y0, y1 = dy.mats[c].shape
+            m = F.zeros((y0 + fx.mats[c].shape[0], y1 + dx.mats[c].shape[1]))
+            m[:y0, :y1] = F.neg(dy.mats[c])
+            m[y0:, :y1] = fx.mats[c]
+            m[y0:, y1:] = dx.mats[c]
+            mats.append(m)
+        dmaps[d] = mod.ModuleMap(terms[d], terms[d + 1], mats)
+    C = ModuleComplex(X.A, terms, dmaps)
+    imaps, pmaps = {}, {}
     for d in degs:
-        S, incls, projs = sums[d]
         sign = 1 if d % 2 == 0 else neg
+        S, y = terms[d], Y.term(d).dims
+        eyes = [F.reduce(sign * F.eye(n)) for n in S.dims]
         if d in Y.terms:
-            imaps[d] = incls[0].scale(sign)
-        if d in X1.terms:
-            pmaps[d] = projs[1].scale(sign)
+            imaps[d] = mod.ModuleMap(
+                Y.term(d), S, [e[:n] for e, n in zip(eyes, y)])
+        if (d + 1) in X.terms:
+            pmaps[d] = mod.ModuleMap(
+                S, X.term(d + 1), [e[:, n:] for e, n in zip(eyes, y)])
     incl = ChainMap(Y, C, imaps)
-    proj = ChainMap(C, X1, pmaps)
+    proj = ChainMap(C, X.shift(1), pmaps)
     if not C.check():
         raise RuntimeError("cone differential fails d^2 = 0")
     if not incl.check():
@@ -498,7 +488,7 @@ class ProjComplex:
 
     def shift(self, n):
         F = self.field
-        sign = 1 if n % 2 == 0 else neg_one(F)
+        sign = 1 if n % 2 == 0 else linalg.neg_one(F)
         terms = {d - n: list(c) for d, c in self.terms.items()}
         diffs = {d - n: F.reduce(sign * e) for d, e in self.diffs.items()}
         return ProjComplex(self.A, terms, diffs)
@@ -507,31 +497,27 @@ class ProjComplex:
         return sum(len(c) for c in self.terms.values())
 
     def is_minimal(self):
-        """All differential entries lie in the radical."""
-        for d in self.diffs:
-            e = self.diff(d)
-            for j in range(e.shape[0]):
-                for k in range(e.shape[1]):
-                    if not self.A.in_radical(e[j, k]):
-                        return False
-        return True
+        """All differential entries lie in the radical: one solve of all
+        of them against rad A."""
+        ents = np.concatenate([self.field.zeros((0, self.A.dim))] + [
+            e.reshape(-1, self.A.dim) for e in self.diffs.values()])
+        return not ents.shape[0] or linalg.solve_matrix(
+            self.field, self.A.radical().T, ents.T) is not None
 
 
 def entry_compose(A, a, b):
-    """Entries of (map with entries a) followed by (map with entries b)."""
+    """Entries of (map with entries a) followed by (map with entries b).
+
+    Entry [j, l] is the sum over k of b[k, l] * a[j, k], that is of
+    a[j, k] @ lm(b[k, l]): one batched lm and one product.
+    """
     F = A.field
-    ns, mid, _ = a.shape
+    ns, mid, dim = a.shape
     mid2, nt, _ = b.shape
     if mid != mid2:
         raise ValueError("entry composition shape mismatch")
-    out = F.zeros((ns, nt, A.dim))
-    for j in range(ns):
-        for l in range(nt):
-            acc = F.zeros((A.dim,))
-            for k in range(mid):
-                acc = F.reduce(acc + A.el_mult(b[k, l], a[j, k]))
-            out[j, l] = acc
-    return out
+    lm = A.lm(b).transpose(0, 2, 1, 3).reshape(mid * dim, nt * dim)
+    return F.matmul(a.reshape(ns, mid * dim), lm).reshape(ns, nt, dim)
 
 
 def proj_complex_direct_sum(xs):
@@ -611,51 +597,28 @@ def minimize(X):
             if unit is None:
                 continue
             j, k, inv = unit
-            # clean column k (other rows) and row j (other columns):
-            # e'[j2,k2] = e[j2,k2] - e[j,k2]*inv*e[j2,k]
-            new_e = np.array(e, copy=True)
-            for j2 in range(e.shape[0]):
-                if j2 == j:
-                    continue
-                for k2 in range(e.shape[1]):
-                    if k2 == k:
-                        continue
-                    corr = A.el_mult(
-                        A.el_mult(e[j, k2], inv), e[j2, k]
-                    )
-                    new_e[j2, k2] = F.reduce(e[j2, k2] - corr)
-            for j2 in range(e.shape[0]):
-                if j2 != j:
-                    new_e[j2, k] = 0
-            for k2 in range(e.shape[1]):
-                if k2 != k:
-                    new_e[j, k2] = 0
-            # adjacent differentials get the inverse basis changes; the
-            # affected row/column must then vanish by d^2 = 0
+            inv = inv.reshape(1, 1, -1)
+            # with row = e[j, .] and col = e[., k] (their unit entry
+            # zeroed), lam_row = row * inv and lam_col = inv * col; the
+            # kept block becomes e - col . lam_row, and the adjacent
+            # differentials get the inverse basis changes, after which
+            # the affected column / row must vanish by d^2 = 0
+            row = np.array(e[j : j + 1], copy=True)
+            row[0, k] = 0
+            col = np.array(e[:, k : k + 1], copy=True)
+            col[j, 0] = 0
+            lam_row = entry_compose(A, inv, row)
+            lam_col = entry_compose(A, col, inv)
+            new_e = F.reduce(e - entry_compose(A, col, lam_row))
             prev = get_diff(d - 1)
             if prev.size:
-                newprev = np.array(prev, copy=True)
-                for r in range(prev.shape[0]):
-                    acc = prev[r, j]
-                    for j2 in range(e.shape[0]):
-                        if j2 == j:
-                            continue
-                        lam = A.el_mult(inv, e[j2, k])
-                        acc = F.reduce(acc + A.el_mult(lam, prev[r, j2]))
-                    newprev[r, j] = acc
-                prev = newprev
+                prev = np.array(prev, copy=True)
+                prev[:, j] = F.reduce(
+                    prev[:, j] + entry_compose(A, prev, lam_col)[:, 0])
             nxt = get_diff(d + 1)
             if nxt.size:
-                newnxt = np.array(nxt, copy=True)
-                for c2 in range(nxt.shape[1]):
-                    acc = nxt[k, c2]
-                    for k2 in range(e.shape[1]):
-                        if k2 == k:
-                            continue
-                        lam = A.el_mult(e[j, k2], inv)
-                        acc = F.reduce(acc + A.el_mult(nxt[k2, c2], lam))
-                    newnxt[k, c2] = acc
-                nxt = newnxt
+                nxt = np.array(nxt, copy=True)
+                nxt[k] = F.reduce(nxt[k] + entry_compose(A, lam_row, nxt)[0])
             # drop summand j at degree d and k at degree d+1
             keep_j = [x for x in range(e.shape[0]) if x != j]
             keep_k = [x for x in range(e.shape[1]) if x != k]
@@ -810,44 +773,22 @@ def complexes_isomorphic(X, Y, rng=None):
 
 
 def nu_complex(X):
-    """Complex of injectives nu(X) for a projective complex X."""
+    """Complex of injectives nu(X) for a projective complex X.
+
+    nu = D Hom_A(-, A): Hom(-, A) turns the entries of each differential
+    into a map between sums of projectives over A^op with the transposed
+    entry matrix, as in `modules.transpose_module`, and nu(X)'s
+    differential is its dual, the transposed blocks.
+    """
     A = X.A
     Aop = mod.opposite_algebra(A)
-    terms = {}
-    metas = {}
-    for d, classes in X.terms.items():
-        injs = [mod.injective_module(A, c) for c in classes]
-        S, incls, projs = mod.direct_sum(injs)
-        terms[d] = S
-        metas[d] = (injs, incls, projs, classes)
+    psums = {d: mod.proj_sum(Aop, cl) for d, cl in X.terms.items()}
+    terms = {d: mod.dual_module(ps.module, A) for d, ps in psums.items()}
     dmaps = {}
     for d in X.diffs:
-        e = X.diff(d)
-        _, _, projs0, cls0 = metas[d]
-        _, incls1, _, cls1 = metas[d + 1]
-        m = mod.zero_map(terms[d], terms[d + 1])
-        for j in range(e.shape[0]):
-            for k in range(e.shape[1]):
-                if np.all(e[j, k] == 0):
-                    continue
-                blk = _nu_of_entry(A, Aop, e[j, k], cls0[j], cls1[k])
-                m = m.add(projs0[j].compose(blk).compose(incls1[k]))
-        dmaps[d] = m
+        f_op = psums[d + 1].map_from_entries(
+            psums[d], X.diff(d).transpose(1, 0, 2))
+        dmaps[d] = mod.ModuleMap(
+            terms[d], terms[d + 1],
+            [np.array(m.T, copy=True) for m in f_op.mats])
     return ModuleComplex(A, terms, dmaps)
-
-
-def _nu_of_entry(A, Aop, a, cj, ck):
-    """nu of left multiplication by a : e_{cj} A -> e_{ck} A.
-
-    Induced map D(A e_{cj}) -> D(A e_{ck}): the dual of right
-    multiplication by a on the opposite projectives.
-    """
-    # in the opposite algebra, a in e_{ck} A e_{cj} = e_{cj}^op A^op e_{ck}^op
-    ps_j = mod.proj_sum(Aop, [cj])
-    ps_k = mod.proj_sum(Aop, [ck])
-    f_op = ps_k.map_from_entries(ps_j, np.reshape(a, (1, 1, -1)))
-    # dual over A: transpose blocks and swap direction
-    Ij = mod.dual_module(ps_j.module, A)
-    Ik = mod.dual_module(ps_k.module, A)
-    mats = [f_op.mats[c].T for c in range(A.nclasses)]
-    return mod.ModuleMap(Ij, Ik, mats)

@@ -183,6 +183,11 @@ class RationalField:
 _ZERO = Fraction(0)
 
 
+def neg_one(F):
+    """-1 as a scalar of F: p - 1 over GF(p), -1 over Q."""
+    return F.p - 1 if isinstance(F, GF) else -1
+
+
 def rref(F, a):
     """Reduced row echelon form.  Returns (R, pivot_columns).
 

@@ -634,9 +634,6 @@ class ProjSum:
         if self.classes:
             mods = [projective_module(A, c) for c in self.classes]
             self.module, self.incls, self.projs = direct_sum(mods)
-            self.gens = [
-                self.incls[k].apply(mods[k].gen) for k in range(len(mods))
-            ]
             self.summands = mods
             pos = [0] * A.nclasses
             for m in mods:
@@ -651,7 +648,7 @@ class ProjSum:
                     for _ in range(A.dim)
                 ],
             )
-            self.incls, self.projs, self.gens, self.summands = [], [], [], []
+            self.incls, self.projs, self.summands = [], [], []
         self.module.psum = self
 
     def map_to(self, M, gen_images):
@@ -698,33 +695,40 @@ class ProjSum:
         """Express f: self.module -> other.module by algebra elements.
 
         Returns the array entries[j, k] in e_{other.classes[k]} A
-        e_{self.classes[j]} with f(gen_j) = sum_k gen_k * entries[j, k].
+        e_{self.classes[j]} with f(gen_j) = sum_k gen_k * entries[j, k]:
+        gen_j is a row of self's class-c_j block, and its image there
+        holds every entries[j, k] at the places `_layout` gives.
         """
         A = self.A
         entries = A.field.zeros((len(self.classes), len(other.classes), A.dim))
-        for j, dj in enumerate(self.classes):
-            y = f.apply(self.gens[j])
-            piece = other.module.piece(y.reshape(1, -1), dj)[0]
-            for k in range(len(other.classes)):
-                st = other.starts[k][dj]
-                for i, b in enumerate(other.summands[k].basis_members[dj]):
-                    entries[j, k, b] = piece[st + i]
+        for j, c in enumerate(self.classes):
+            ks, bs = other._layout(c)
+            r = self.starts[j][c] + \
+                self.summands[j].basis_members[c].index(A.idem[c])
+            entries[j, ks, bs] = A.field.reduce(f.mats[c][r])
         return entries
 
     def map_from_entries(self, other, entries):
         """ModuleMap self.module -> other.module, gen_j -> sum gen_k*a_jk,
-        for an entries array a of shape (len self, len other, dim A)."""
-        F = self.A.field
-        gen_images = []
-        for j in range(len(self.classes)):
-            v = F.zeros((other.module.total,))
-            for k in range(len(other.classes)):
-                a = entries[j][k]
-                op = other.module.act_total(a)
-                v = F.reduce(v + F.matmul(self.A.field.reduce(
-                    other.gens[k].reshape(1, -1)), op)[0])
-            gen_images.append(v)
-        return self.map_to(other.module, gen_images)
+        for an entries array a of shape (len self, len other, dim A).
+
+        Basis element b of summand j goes to the sum of the a_jk * b, so
+        block (j, k) of class c is lm(a_jk) at rows e_{c_j} A e_c and
+        columns e_{c_k} A e_c: one gather per class from one batched lm.
+        """
+        lm = self.A.lm(np.asarray(entries))
+        mats = []
+        for c in range(self.A.nclasses):
+            (js, rows), (ks, cols) = self._layout(c), other._layout(c)
+            mats.append(lm[js[:, None], ks, rows[:, None], cols])
+        return ModuleMap(self.module, other.module, mats)
+
+    def _layout(self, c):
+        """(summand, basis element of A) of each row of the class-c block
+        of the sum, in the order `direct_sum` lays the rows out."""
+        pairs = [(k, b) for k, P in enumerate(self.summands)
+                 for b in P.basis_members[c]]
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
 
 
 def top_generators(M):
@@ -992,7 +996,7 @@ def extension_sequence(M, N, ext_data, cocycle_flat):
     phi = map_from_flat(P1.module, N, np.asarray(cocycle_flat))
     DS, incls, projs = direct_sum([N, P0.module])
     # E = (N + P0) / image of (-phi, d1) : P1 -> N + P0
-    neg_phi = phi.scale(-1 % F.p if isinstance(F, linalg.GF) else -1)
+    neg_phi = phi.scale(linalg.neg_one(F))
     w_map = neg_phi.compose(incls[0]).add(d1.compose(incls[1]))
     E, pr = quotient_module(DS, image_vectors(w_map))
     f = incls[0].compose(pr)

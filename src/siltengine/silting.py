@@ -450,13 +450,12 @@ class SiltingContext:
 
     def left_mult_map(self, avec):
         """Right-module endomorphism of A given by left multiplication:
-        generator e_j goes to a e_j, the sum of the e_k a e_j."""
+        generator e_j goes to a e_j, the sum of the e_k a e_j, that is
+        a masked to each corner e_k A e_j."""
         A = self.A
-        idem = [A.idem_vec(c) for c in range(A.nclasses)]
-        entries = np.stack([
-            np.stack([A.el_mult(A.el_mult(ek, avec), ej) for ek in idem])
-            for ej in idem
-        ])
+        cls = np.arange(A.nclasses)[:, None]
+        corner = (A.tgt == cls)[:, None, :] & (A.src == cls)[None, :, :]
+        entries = np.where(corner, avec, self.field.zeros((A.dim,)))
         return self.psA0.map_from_entries(self.psA0, entries)
 
     def element_of_regular_endo(self, m):
@@ -569,7 +568,7 @@ class SiltingContext:
 
     def _phi_of(self, avec, hsAP, hsEnd, ebasis):
         F = self.field
-        neg = cx.neg_one(F)
+        neg = linalg.neg_one(F)
         lam = self.left_mult_map(avec)
         chain_a = cx.ChainMap(self.mcA, self.mcA, {0: lam})
         target = chain_a.compose(self.e)

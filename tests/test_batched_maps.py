@@ -130,7 +130,7 @@ def _ref_homspace(X, Y):
         for i in set(X.terms) | set(Y.terms):
             lhs = f.map_at(i).compose(Y.dmap(i))
             rhs = X.dmap(i).compose(f.map_at(i + 1))
-            viol.append(lhs.add(rhs.scale(cx.neg_one(F))).flat())
+            viol.append(lhs.add(rhs.scale(linalg.neg_one(F))).flat())
         cond_rows.append(np.concatenate(viol) if viol else F.zeros((0,)))
     if cond_rows and cond_rows[0].shape[0] > 0:
         coeff_ker = linalg.kernel(F, np.stack(cond_rows, axis=0).T)

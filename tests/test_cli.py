@@ -13,7 +13,7 @@ from siltengine import ar, cli
 from siltengine import complexes as cx
 from siltengine import linalg, silting
 
-from test_golden import CASES, EXIT_CODES, GOLDEN
+from test_golden import CASES, EXIT_CODES, GOLDEN, LINEAR_A4, linear_a4_text
 
 FIXDIR = os.path.join(os.path.dirname(cli.__file__), "fixtures")
 
@@ -442,10 +442,14 @@ def test_gf_commands_do_not_import_sympy():
     assert rcs == [0, 0] and not loaded
 
 
-def test_field_q_without_sympy_gives_golden_bytes():
-    cases = [(name, argv) for name, argv in CASES
+def test_field_q_without_sympy_gives_golden_bytes(tmp_path):
+    # the linear A4 cases name their algebra file by LINEAR_A4
+    a4 = tmp_path / (LINEAR_A4 + ".alg")
+    a4.write_text(linear_a4_text(), encoding="utf-8")
+    cases = [(name, [str(a4) if a == LINEAR_A4 else a for a in argv])
+             for name, argv in CASES
              if name.split("-")[1] in ("check", "theorem") and "Q" in argv]
-    assert len(cases) == 4
+    assert len(cases) == 5
     rcs, outs, loaded = _run_fresh([argv for _, argv in cases], block=True)
     assert not loaded
     with open(EXIT_CODES, encoding="utf-8") as fh:

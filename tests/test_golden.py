@@ -4,7 +4,8 @@ The snapshots in tests/golden/ pin the reports an engine change must not
 move.  Besides the bundled fixtures they cover linear A4 (1 -> 2 -> 3 -> 4
 over GF(32003)), whose battery and `ar` reach Ext on more than three
 vertices, and whose `theorem` checks the comparison theorem on four
-vertices.  Its algebra file is written from the ladder recipe at run time;
+vertices; its `ar` and `theorem` are also pinned over Q, the only cases
+that run the Fraction path on more than three vertices.  Its algebra file is written from the ladder recipe at run time;
 its complex, tests/golden/linear_a4.cpx, is `silt complete` of the seed
 complex P2 --x1--> P1.  They also cover the battery of linear A5
 (tests/golden/linear_a5.alg), the largest battery a case closes, and
@@ -99,6 +100,10 @@ def _cases():
     out.append(("linear_a4-ar.txt", ["ar", LINEAR_A4, cpx]))
     out.append(("linear_a4-theorem.json",
                 ["theorem", LINEAR_A4, cpx, "--report", "json"]))
+    out.append(("linear_a4-ar-Q.txt", ["ar", LINEAR_A4, cpx, "--field", "Q"]))
+    out.append(("linear_a4-theorem-Q.json",
+                ["theorem", LINEAR_A4, cpx, "--field", "Q",
+                 "--report", "json"]))
     a5_alg = os.path.join(GOLDEN, "linear_a5.alg")
     a5_cpx = os.path.join(GOLDEN, "linear_a5.cpx")
     out.append(("linear_a5-battery.json",

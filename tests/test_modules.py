@@ -235,7 +235,7 @@ def _ref_entry_matrix_to(ps, other, f):
     F = A.field
     entries = []
     for j, dj in enumerate(ps.classes):
-        y = f.apply(ps.gens[j])
+        y = f.apply(ps.incls[j].apply(ps.summands[j].gen))
         row = []
         for k in range(len(other.classes)):
             Pk = other.summands[k]

@@ -146,7 +146,7 @@ def ref_cone(ctx):
         cone_diffs[-1] = entries
     cone = cx.ProjComplex(A, cone_terms, cone_diffs)
     mcC, psC = cone.module_form()
-    neg = cx.neg_one(F)
+    neg = linalg.neg_one(F)
     fmaps = {}
     if p1:
         m = mod.zero_map(ctx.mcPp.term(-1), mcC.term(-1))

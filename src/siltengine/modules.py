@@ -1001,14 +1001,7 @@ def extension_sequence(M, N, ext_data, cocycle_flat):
     E, pr = quotient_module(DS, image_vectors(w_map))
     f = incls[0].compose(pr)
     # g: E -> M induced by (0, cover); well defined since cover . d1 = 0
-    g_on_ds = projs[1].compose(cover)
-    gmats = []
-    for c in range(M.A.nclasses):
-        x = linalg.solve_matrix(F, pr.mats[c], g_on_ds.mats[c])
-        if x is None:
-            raise RuntimeError("map does not factor through the quotient")
-        gmats.append(x)
-    g = ModuleMap(E, M, gmats)
+    g = factor_through_projection(pr, projs[1].compose(cover))
     return E, f, g
 
 
@@ -1122,3 +1115,16 @@ def retract_through_inclusion(incl, f):
             raise RuntimeError("image does not land in the submodule")
         mats.append(x.T)
     return ModuleMap(f.src, incl.src, mats)
+
+
+def factor_through_projection(pr, f):
+    """g with pr . g = f, given ker pr inside ker f: the dual of
+    `retract_through_inclusion`."""
+    F = pr.field
+    mats = []
+    for c in range(pr.src.A.nclasses):
+        x = linalg.solve_matrix(F, pr.mats[c], f.mats[c])
+        if x is None:
+            raise RuntimeError("map does not factor through the quotient")
+        mats.append(x)
+    return ModuleMap(pr.tgt, f.tgt, mats)

@@ -214,15 +214,17 @@ class TorsionPair:
         reg = mod.regular_module(self.A)
         return mod.quotient_module(reg, self.trace_vectors(reg))[0]
 
-    def summands_of(self, G, rng):
-        """One indecomposable summand of G per isomorphism class,
-        decomposed once per module."""
-        key = ("s", id(G))
-        if key not in self._cache:
-            self._cache[key] = (
-                G, [grp[0][0] for grp in mod.decompose_module(G, rng)]
-            )
-        return self._cache[key][1]
+    @functools.cached_property
+    def ext_parts(self):
+        """([t(I_c)], [P_c / t P_c]) over the classes c, which span
+        add t(DA) and add A/tA.  Each is zero or indecomposable, since I_c
+        has a simple socle and P_c a simple top."""
+        A, cs = self.A, range(self.A.nclasses)
+        Ps = [mod.projective_module(A, c) for c in cs]
+        return (
+            [self.torsion_part(mod.injective_module(A, c))[0] for c in cs],
+            [mod.quotient_module(P, self.trace_vectors(P))[0] for P in Ps],
+        )
 
     def canonical_sequence(self, X):
         """(tX, incl, X/tX, proj), with both memberships asserted."""
@@ -332,7 +334,9 @@ def minimal_approximation(endp, X, side):
     side "left": for each summand i, a basis of Hom(X, P_i) modulo the
     maps X -> P_j -> P_i through rad End(P); side "right": of Hom(P_i, X)
     modulo P_i -> P_j -> X.  Returns [(i, chain map)], one pair per copy
-    of P_i in the approximating object, in summand order.
+    of P_i in the approximating object, in summand order.  The P_i may be
+    any complexes (stalk modules too) that are indecomposable and
+    pairwise non-isomorphic, so that End(P) is basic.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -403,6 +407,18 @@ class SiltingContext:
         self._build_phi()
         self.torsion_A = TorsionPair(self.P)
         self.torsion_B = TorsionPair(self.Q)
+
+    @functools.cached_property
+    def h0_endp(self):
+        """EndP of the stalks of the nonzero H^0(P_i), or None.  They are
+        indecomposable and pairwise non-isomorphic (Adachi-Iyama-Reiten)."""
+        return _stalk_endp([m.cohomology(0) for m in self.mq])
+
+    @functools.cached_property
+    def cogen_endp(self):
+        """The same for the nonzero H^{-1}(nu P_i)."""
+        nus = [cx.nu_complex(s) for s in self.summands]
+        return _stalk_endp([nu.cohomology(-1) for nu in nus])
 
     # -- triangle A -> P' -> P'' -> A[1] ------------------------------------
 
@@ -916,116 +932,87 @@ def module_battery(A, torsion=None, max_dim=30, cap=60, seed=0):
 # ---- torsion-class resolutions (four constructive sequences) ---------------
 
 
-def injective_envelope(X, rng=None):
-    """(I, embedding) with soc I = soc X."""
-    rng = rng or random.Random(0)
-    A = X.A
-    F = X.field
-    soc = mod.socle_vectors(X)
-    pieces = mod.graded_pieces_of_span(X, soc)
-    injs = []
-    for c in range(A.nclasses):
-        injs.extend(
-            mod.injective_module(A, c) for _ in range(pieces[c].shape[0])
-        )
-    if not injs:
-        raise RuntimeError("module has empty socle")
-    I, _, _ = mod.direct_sum(injs)
-    _, flat = mod.hom_space(X, I)
-    for v in linalg.candidates(F, flat, rng, 80):
-        f = mod.map_from_flat(X, I, v)
-        if f.is_injective():
-            return I, f
-    raise RuntimeError("no embedding into the injective envelope found")
+def injective_envelope(X):
+    """(I, embedding) with soc I = soc X: D of the projective cover of DX
+    over A^op, so I sums one I_c per copy of S_c in soc X, in class order.
+    """
+    ps, cover = mod.projective_cover(mod.dual_module(X))
+    I = mod.dual_module(ps.module, X.A)
+    return I, mod.ModuleMap(X, I, [m.T.copy() for m in cover.mats])
 
 
 def torsion_resolution(ctx, X, variant):
     """One of the four canonical sequences attached to the torsion pair.
 
-    variant 'tgen':   0 -> L -> T0 -> X -> 0, T0 generated-projective side
-    variant 'tcogen': 0 -> X -> T0 -> L -> 0, T0 torsion part of injectives
-    variant 'fcogen': 0 -> X -> F0 -> L -> 0, F0 cogenerator side
-    variant 'fgen':   0 -> L -> F0 -> X -> 0, F0 projective-quotient side
+    variant 'tgen':   0 -> L -> T0 -> X -> 0, T0 minimal in add H^0(P)
+    variant 'tcogen': 0 -> X -> T0 -> L -> 0, T0 = t(injective envelope)
+    variant 'fcogen': 0 -> X -> F0 -> L -> 0, F0 minimal in add H^{-1}(nu P)
+    variant 'fgen':   0 -> L -> F0 -> X -> 0, F0 = P0/tP0, P0 -> X a cover
+    T0 and F0 of tgen and fcogen come from `minimal_approximation` over
+    ctx.h0_endp, resp. ctx.cogen_endp, so they lie in add by construction.
     Returns (N, E, M, f, g, middle_ok) for the exact sequence 0->N->E->M->0.
     """
     tp = ctx.torsion_A
-    A = ctx.A
-    F = ctx.field
     rng = ctx.rng
     if variant in ("tgen", "tcogen") and not tp.in_torsion(X):
         raise PreconditionError("module is not in the torsion class")
     if variant in ("fcogen", "fgen") and not tp.in_free(X):
         raise PreconditionError("module is not in the torsion-free class")
     if variant == "tgen":
-        T0, big, parts = _approximation(tp.h0, X, "right")
+        T0, big = _approximation(ctx.h0_endp, X, "right")
         if not big.is_surjective():
             raise RuntimeError("torsion approximation is not surjective")
         L, incl = mod.submodule(T0, mod.kernel_vectors(big))
-        middle_ok = all(p is tp.h0 for p in parts) and tp.in_torsion(L)
-        return L, T0, X, incl, big, middle_ok
+        return L, T0, X, incl, big, tp.in_torsion(L)
     if variant == "tcogen":
-        I0, emb = injective_envelope(X, rng)
+        I0, emb = injective_envelope(X)
         T0, incl = tp.torsion_part(I0)
         emb2 = mod.retract_through_inclusion(incl, emb)
         L, proj = mod.quotient_module(T0, mod.image_vectors(emb2))
-        middle_ok = (
-            _in_add(T0, tp.summands_of(tp.tnuA, rng), rng)
-            and tp.in_torsion(L)
-        )
+        middle_ok = _in_add(T0, tp.ext_parts[0], rng) and tp.in_torsion(L)
         return X, T0, L, emb2, proj, middle_ok
     if variant == "fcogen":
-        F0, big, parts = _approximation(tp.cogen, X, "left")
+        F0, big = _approximation(ctx.cogen_endp, X, "left")
         if not big.is_injective():
             raise RuntimeError("cogenerator approximation is not injective")
         L, proj = mod.quotient_module(F0, mod.image_vectors(big))
-        middle_ok = all(p is tp.cogen for p in parts) and tp.in_free(L)
-        return X, F0, L, big, proj, middle_ok
+        return X, F0, L, big, proj, tp.in_free(L)
     if variant == "fgen":
         ps, cover = mod.projective_cover(X)
-        P0 = ps.module
-        tv = tp.trace_vectors(P0)
-        F0, pr = mod.quotient_module(P0, tv)
-        gmats = []
-        for c in range(A.nclasses):
-            x = linalg.solve_matrix(F, pr.mats[c], cover.mats[c])
-            if x is None:
-                raise RuntimeError("cover does not factor through F0")
-            gmats.append(x)
-        g = mod.ModuleMap(F0, X, gmats)
+        F0, pr = mod.quotient_module(ps.module, tp.trace_vectors(ps.module))
+        g = mod.factor_through_projection(pr, cover)
         L, incl = mod.submodule(F0, mod.kernel_vectors(g))
-        middle_ok = (
-            _in_add(F0, tp.summands_of(tp.AtA, rng), rng) and tp.in_free(L)
-        )
+        middle_ok = _in_add(F0, tp.ext_parts[1], rng) and tp.in_free(L)
         return L, F0, X, incl, g, middle_ok
     raise ValueError("unknown variant %r" % (variant,))
 
 
-def _approximation(G, X, side):
-    """(G-power S, candidate map, summands) from every map between G and X.
+def _stalk_endp(mods):
+    stalks = [cx.stalk_complex(M) for M in mods if M.total]
+    return EndP(stalks) if stalks else None
 
-    side "right": every map G -> X, summed into a surjection candidate
-    S -> X; side "left": every map X -> G, stacked into an injection
-    candidate X -> S.  The summands are the modules S was summed from,
-    all G.
+
+def _approximation(endp, X, side):
+    """(S, u) for the minimal add-approximation of the module X by the
+    stalk modules of endp (None: no modules), from `minimal_approximation`.
+
+    S sums one module per generator, laid out one after another in every
+    class, so u: S -> X (side "right") is the generators stacked and
+    u: X -> S (side "left") is them side by side.
     """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
     left = side == "left"
-    maps, _ = mod.hom_space(X, G) if left else mod.hom_space(G, X)
-    parts = [G] * len(maps)
-    if not maps:
+    gens = minimal_approximation(endp, cx.stalk_complex(X), side) \
+        if endp else []
+    if not gens:
         S = cx.zero_module(X.A)
-        return S, mod.zero_map(X, S) if left else mod.zero_map(S, X), parts
-    S = mod.direct_sum(parts)[0]
-    # S lays out its copies of G one after another in every class, so the
-    # map into S is the maps side by side and the map out of S is them
-    # stacked
+        return S, mod.zero_map(X, S) if left else mod.zero_map(S, X)
+    S = mod.direct_sum([endp.mq[i].term(0) for i, _ in gens])[0]
     mats = [
-        np.concatenate([m.mats[c] for m in maps], axis=1 if left else 0)
+        np.concatenate([g.map_at(0).mats[c] for _, g in gens],
+                       axis=1 if left else 0)
         for c in range(X.A.nclasses)
     ]
-    big = mod.ModuleMap(X, S, mats) if left else mod.ModuleMap(S, X, mats)
-    return S, big, parts
+    return S, mod.ModuleMap(X, S, mats) if left else mod.ModuleMap(S, X, mats)
 
 
 def _in_add(X, gparts, rng=None):
@@ -1078,9 +1065,11 @@ def verify_theorem(ctx, battery=None, battery_b=None, max_dim=30, cap=60,
         {"P": len(ctx.summands), "A": A.nclasses, "B": B.nclasses},
     ))
 
+    sides = {}
     for tag, tp, batt in (("A", tpA, battery), ("B", tpB, battery_b)):
         tside = [X for X in batt if tp.in_torsion(X)]
         fside = [X for X in batt if tp.in_free(X)]
+        sides[tag] = tside, fside
         ok = True
         pairs = 0
         for X in tside:
@@ -1143,8 +1132,7 @@ def verify_theorem(ctx, battery=None, battery_b=None, max_dim=30, cap=60,
         {"cases": 2 * len(battery)},
     ))
 
-    tside = [X for X in battery if tpA.in_torsion(X)]
-    fside = [X for X in battery if tpA.in_free(X)]
+    tside, fside = sides["A"]
     ok1 = ok2 = True
     for M in tside:
         hm = ctx.hom_P_of(M, 0).module

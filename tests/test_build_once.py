@@ -1,10 +1,11 @@
 """Objects a SiltingContext builds once must equal the ones built afresh.
 
 The context decomposes P and Q once, memoizes Hom(P, -) and Hom(Q, -) per
-(module, shift), and checks the middle terms of the `tgen` and `fcogen`
-torsion resolutions from the summand list of the approximation instead of
-decomposing them.  These tests compare each shortcut with the longer path
-it replaces, on the three fixtures and on linear A4.
+(module, shift), and builds the middle terms of the `tgen` and `fcogen`
+torsion resolutions from the H^0(P_i), resp. H^{-1}(nu P_i), so they lie in
+add H^0(P), resp. add H^{-1}(nu P), without decomposing them.  These tests
+compare each shortcut with the longer path it replaces, on the three
+fixtures and on linear A4.
 """
 
 import os
@@ -91,7 +92,7 @@ def test_q_hom_is_memoized_and_equals_a_fresh_build(case):
 
 
 def _in_add_by_decomposing(X, G, rng):
-    """The check the `tgen` / `fcogen` resolutions made before: decompose
+    """The check the `tgen` / `fcogen` resolutions leave out: decompose
     both X and G and match every summand of X with one of G."""
     gparts = [grp[0][0] for grp in mod.decompose_module(G, rng)]
     return silting._in_add(X, gparts, rng)

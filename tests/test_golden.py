@@ -35,7 +35,10 @@ linear A8 (linear_a8.alg, linear_a8.cpx), and linear_a8-check.txt, its
 same job compares `silt complete` of linear_a8_seed.cpx, P2 --x1--> P1,
 with linear_a8.cpx), nor tests/golden/nakayama_4_5-theorem.json, the JSON
 `theorem` report on N(4,5) (nakayama_4_5.alg, nakayama_4_5.cpx), which the
-nakayama-4-5-theorem CI job compares against.
+nakayama-4-5-theorem CI job compares against, nor
+tests/golden/linear_a10-theorem.json, the JSON `theorem` report on linear
+A10 (linear_a10.alg, linear_a10.cpx, the `silt complete` of P2 --x1--> P1),
+which the linear-a10-theorem CI job compares against.
 """
 
 import contextlib

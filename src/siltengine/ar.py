@@ -178,8 +178,8 @@ def _hom_p_sequence(ctx, tX, E, X, f, g, shift):
     h1 = ctx.hom_P_of(tX, shift)
     h2 = ctx.hom_P_of(E, shift)
     h3 = ctx.hom_P_of(X, shift)
-    w1 = silting.hom_P_of_module_map(ctx, h1, h2, f)
-    w2 = silting.hom_P_of_module_map(ctx, h2, h3, g)
+    w1 = silting.hom_P_of_module_map(h1, h2, f)
+    w2 = silting.hom_P_of_module_map(h2, h3, g)
     return h1.module, h2.module, h3.module, w1, w2
 
 

@@ -711,11 +711,12 @@ def _standardize_summand(mc, emap):
         if (d + 1) in terms
     }
     image = ModuleComplex(mc.A, terms, dmaps)
-    return proj_complex_from_module_complex(image)[0]
+    return proj_complex_from_module_complex(image)
 
 
 def proj_complex_from_module_complex(Xmc):
-    """(ProjComplex, covers) for a complex of projective modules."""
+    """The ProjComplex of a complex of projective modules, read through
+    the projective cover of each term."""
     A = Xmc.A
     psums = {}
     covers = {}
@@ -736,7 +737,7 @@ def proj_complex_from_module_complex(Xmc):
     out = ProjComplex(A, {d: ps.classes for d, ps in psums.items()}, diffs)
     if not out.check():
         raise RuntimeError("projective presentation fails d^2 = 0")
-    return out, covers
+    return out
 
 
 def map_inverse(f):

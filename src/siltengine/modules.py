@@ -93,6 +93,8 @@ class Module:
         starts = [np.flatnonzero(A.src == c) for c in range(A.nclasses)]
         for s in range(A.nclasses):
             K, ds = starts[s], self.dims[s]
+            if ds == 0:  # both sides have no rows
+                continue
             for m in range(A.nclasses):
                 I, J = A.corner(s, m), starts[m]
                 if not I or not J.size:
@@ -942,14 +944,13 @@ def modules_isomorphic(M, N, rng=None):
 class ExtData:
     """Ext^i(M, N) with enough data to rebuild extensions for i = 1."""
 
-    def __init__(self, dim, cocycles, coboundaries, psums, dmaps, cover, N):
+    def __init__(self, dim, cocycles, coboundaries, psums, dmaps, cover):
         self.dim = dim
         self.cocycles = cocycles
         self.coboundaries = coboundaries
         self.psums = psums
         self.dmaps = dmaps
         self.cover = cover
-        self.N = N
 
 
 def ext_space(M, N, degree):
@@ -971,7 +972,7 @@ def ext_space(M, N, degree):
     src_flat, nxt = delta(degree)
     if not src_flat.shape[0]:
         zero = F.zeros((0, 0))
-        return ExtData(0, zero, zero, psums, dmaps, cover, N)
+        return ExtData(0, zero, zero, psums, dmaps, cover)
     coeff_kernel = linalg.kernel(F, nxt.T) if nxt.shape[1] else \
         F.eye(src_flat.shape[0])
     cocycles = linalg.row_space(F, F.matmul(coeff_kernel, src_flat))
@@ -979,7 +980,7 @@ def ext_space(M, N, degree):
     coboundaries = linalg.row_space(F, prev) if prev.shape[0] else \
         F.zeros((0, src_flat.shape[1]))
     dim = cocycles.shape[0] - coboundaries.shape[0]
-    return ExtData(dim, cocycles, coboundaries, psums, dmaps, cover, N)
+    return ExtData(dim, cocycles, coboundaries, psums, dmaps, cover)
 
 
 def ext_dim(M, N, degree):

@@ -251,7 +251,7 @@ class EndP:
     def __init__(self, mq):
         F = mq[0].field
         self.mq = mq
-        self.n = n = len(mq)
+        n = len(mq)
         self.field = F
         corners = {}
         corner_rows = {}
@@ -314,61 +314,30 @@ class EndP:
             raise RuntimeError("endomorphism algebra axioms failed")
         self.B = B
         self.reps = reps
-        self._corners = corners
-        self._corner_rows = corner_rows
-        self._corner_index = corner_index
-
-    def corner_rep(self, vec, i, j):
-        """Chain map mq[j] -> mq[i] for the (i, j)-corner part of a
-        B-vector, or None when that part is zero."""
-        x = vec[self._corner_index[(i, j)]]
-        if not np.any(x != 0):
-            return None
-        flat = self.field.matmul(x.reshape(1, -1), self._corner_rows[(i, j)])
-        return self._corners[(i, j)].map_from_flat(flat[0])
 
 
 def minimal_approximation(endp, X, side):
     """Generators of a minimal add(P)-approximation of the complex X.
 
-    side "left": for each summand i, a basis of Hom(X, P_i) modulo the
-    maps X -> P_j -> P_i through rad End(P); side "right": of Hom(P_i, X)
-    modulo P_i -> P_j -> X.  Returns [(i, chain map)], one pair per copy
-    of P_i in the approximating object, in summand order.  The P_i may be
-    any complexes (stalk modules too) that are indecomposable and
-    pairwise non-isomorphic, so that End(P) is basic.
+    The approximation is the top of the Hom module (Adachi-Iyama-Reiten):
+    side "right" reads a basis of Hom(P, X) / Hom(P, X) rad End(P), that
+    is, for each summand i, of Hom(P_i, X) modulo the maps
+    P_i -> P_j -> X through rad End(P); side "left" reads the same for
+    Hom(X, P) over End(P)^op, Hom(X, P_i) modulo X -> P_j -> P_i.  Each
+    generator of `modules.top_generators` is a class vector of one
+    Hom(P_i, X) (or Hom(X, P_i)), read back as a chain map.  Returns
+    [(i, chain map)], one pair per copy of P_i in the approximating
+    object, in summand order.  The P_i may be any complexes (stalk modules
+    too) that are indecomposable and pairwise non-isomorphic, so that
+    End(P) is basic.
     """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
+    H = HomPModule(endp, X, side=side)
     F = endp.field
-    left = side == "left"
-    V = [cx.HomSpace(X, q) if left else cx.HomSpace(q, X) for q in endp.mq]
-    radB = endp.B.radical()
     gens = []
-    for i in range(endp.n):
-        if V[i].dim == 0:
-            continue
-        blocks = []
-        for r in range(radB.shape[0]):
-            for j in range(endp.n):
-                if left:
-                    rep = endp.corner_rep(radB[r], i, j)
-                else:
-                    rep = endp.corner_rep(radB[r], j, i)
-                if rep is None:
-                    continue
-                blocks.append(
-                    V[j].induced(V[i], right=rep) if left
-                    else V[j].induced(V[i], left=rep)
-                )
-        radimg = (
-            linalg.row_space(F, np.concatenate(blocks, axis=0))
-            if blocks
-            else F.zeros((0, V[i].dim))
-        )
-        for row in linalg.complement(F, radimg, F.eye(V[i].dim)):
-            flat = F.matmul(row.reshape(1, -1), V[i].class_basis)[0]
-            gens.append((i, V[i].map_from_flat(flat)))
+    for v, i in zip(*mod.top_generators(H.module)):
+        sp = H.spaces[i]
+        flat = F.matmul(H.module.piece(v.reshape(1, -1), i), sp.class_basis)
+        gens.append((i, sp.map_from_flat(flat[0])))
     return gens
 
 
@@ -399,7 +368,6 @@ class SiltingContext:
         self.mcP, _ = self.P.module_form()
         self.tilting = cx.hom_complexes(self.mcP, self.mcP, -1).dim == 0
         self.mq = [s.module_form()[0] for s in self.summands]
-        self.n = len(self.summands)
         self.endo = EndP(self.mq)
         self.B, self.reps = self.endo.B, self.endo.reps
         self._build_delta()
@@ -447,7 +415,7 @@ class SiltingContext:
         # cone of e; its degree -1 term lays out P'^{-1} then A, as _phi_of
         # reads it
         self.mcC, self.f, self.g = cx.mapping_cone(self.e)
-        self.cone = cx.proj_complex_from_module_complex(self.mcC)[0]
+        self.cone = cx.proj_complex_from_module_complex(self.mcC)
         if not cx.HomSpace(self.mcA, self.mcC).is_nullhomotopic(
             self.e.compose(self.f)
         ):
@@ -466,13 +434,14 @@ class SiltingContext:
 
     def left_mult_map(self, avec):
         """Right-module endomorphism of A given by left multiplication:
-        generator e_j goes to a e_j, the sum of the e_k a e_j, that is
-        a masked to each corner e_k A e_j."""
-        A = self.A
-        cls = np.arange(A.nclasses)[:, None]
-        corner = (A.tgt == cls)[:, None, :] & (A.src == cls)[None, :, :]
-        entries = np.where(corner, avec, self.field.zeros((A.dim,)))
-        return self.psA0.map_from_entries(self.psA0, entries)
+        basis element b goes to a b, so the class-c block is lm(a) at the
+        basis elements of the class-c block of A, laid out as in psA0."""
+        lm = self.A.lm(avec)
+        mats = []
+        for c in range(self.A.nclasses):
+            bs = self.psA0._layout(c)[1]
+            mats.append(lm[np.ix_(bs, bs)])
+        return mod.ModuleMap(self.psA0.module, self.psA0.module, mats)
 
     def element_of_regular_endo(self, m):
         """Algebra element x with m = left multiplication by x: the sum of
@@ -504,7 +473,7 @@ class SiltingContext:
 
     def hom_P(self, Ymc, shift=0):
         """Hom(P, Y[shift]) as a right B-module, with coordinate data."""
-        return HomPModule(self, Ymc, shift)
+        return HomPModule(self.endo, Ymc, shift)
 
     def _memo(self, tag, X, shift, build):
         # the cache keeps X alive so id-based keys stay unique
@@ -517,7 +486,7 @@ class SiltingContext:
         """Hom(P, X[shift]) for a module X, built once per (X, shift)."""
         return self._memo(
             "P", X, shift,
-            lambda: HomPModule(self, cx.stalk_complex(X), shift),
+            lambda: HomPModule(self.endo, cx.stalk_complex(X), shift),
         )
 
     def _build_q(self):
@@ -530,16 +499,14 @@ class SiltingContext:
         if self.HBc.module.total > 0:
             terms[0] = self.HBc.module
         if -1 in terms and 0 in terms:
-            delta = hom_P_map(self, self.HBp, self.HBc, self.f)
+            delta = hom_P_map(self.HBp, self.HBc, self.f)
             if not delta.check():
                 raise RuntimeError("induced differential not a B-module map")
             dmaps[-1] = delta
         self.Q_mod = cx.ModuleComplex(self.B, terms, dmaps)
         if not self.Q_mod.check():
             raise RuntimeError("induced complex fails d^2 = 0")
-        self.Q, self.q_covers = cx.proj_complex_from_module_complex(
-            self.Q_mod
-        )
+        self.Q = cx.proj_complex_from_module_complex(self.Q_mod)
         pre, _ = is_presilting(self.Q)
         self.q_classes = (
             cx.summand_class_count(self.Q, self.rng) if pre else 0
@@ -627,9 +594,9 @@ class SiltingContext:
             raise RuntimeError("induced cone endomorphism not a chain map")
         psi_maps = {}
         if -1 in self.Q_mod.terms:
-            psi_maps[-1] = hom_P_map(self, self.HBp, self.HBp, b)
+            psi_maps[-1] = hom_P_map(self.HBp, self.HBp, b)
         if 0 in self.Q_mod.terms:
-            psi_maps[0] = hom_P_map(self, self.HBc, self.HBc, cmap)
+            psi_maps[0] = hom_P_map(self.HBc, self.HBc, cmap)
         psi = cx.ChainMap(self.Q_mod, self.Q_mod, psi_maps)
         if not psi.check():
             raise RuntimeError("induced endomorphism of Q not a chain map")
@@ -681,54 +648,66 @@ class SiltingContext:
 
 
 class HomPModule:
-    """Hom(P, Y[shift]) as a right B-module with explicit coordinates."""
+    """Hom(P, Y[shift]) as a right module over B = End(P) (side "right"),
+    or Hom(Y[shift], P) as a right module over B^op (side "left"), with
+    explicit coordinates.
 
-    def __init__(self, ctx, Ymc, shift):
-        self.ctx = ctx
+    endp is the EndP of the summands P_i; spaces[i] is the Hom space
+    between P_i and Y[shift], and its classes are piece i of the module.
+    Basis element b of B, the chain map reps[b]: P_tgt(b) -> P_src(b),
+    acts by composing with it: on side "right" from Hom(P_src(b), Y) to
+    Hom(P_tgt(b), Y), on side "left" from Hom(Y, P_tgt(b)) to
+    Hom(Y, P_src(b)), which is src(b) -> tgt(b) in B^op.
+    """
+
+    def __init__(self, endp, Ymc, shift=0, side="right"):
+        if side not in ("left", "right"):
+            raise ValueError("side must be 'left' or 'right'")
+        left = side == "left"
         self.shift = shift
         self.Ysh = Ymc.shift(shift) if shift else Ymc
         self.spaces = [
-            cx.HomSpace(ctx.mq[i], self.Ysh) for i in range(ctx.n)
+            cx.HomSpace(self.Ysh, q) if left else cx.HomSpace(q, self.Ysh)
+            for q in endp.mq
         ]
-        B = ctx.B
-        act = [
-            self.spaces[int(B.src[b])].induced(
-                self.spaces[int(B.tgt[b])], left=ctx.reps[b]
+        R = mod.opposite_algebra(endp.B) if left else endp.B
+        act = []
+        for b, rep in enumerate(endp.reps):
+            src, tgt = self.spaces[int(R.src[b])], self.spaces[int(R.tgt[b])]
+            act.append(
+                src.induced(tgt, right=rep) if left
+                else src.induced(tgt, left=rep)
             )
-            for b in range(B.dim)
-        ]
-        self.module = mod.Module(B, [sp.dim for sp in self.spaces], act)
+        self.module = mod.Module(R, [sp.dim for sp in self.spaces], act)
         if not self.module.check():
             raise RuntimeError("Hom(P, -) image violates module axioms")
 
 
-def hom_P_map(ctx, src_h, tgt_h, alpha):
+def hom_P_map(src_h, tgt_h, alpha):
     """Induced B-module map Hom(P, alpha) between HomPModules.
 
     alpha is a chain map src_h.Ysh -> tgt_h.Ysh (already shifted).
     """
     mats = [
-        src_h.spaces[i].induced(tgt_h.spaces[i], right=alpha)
-        for i in range(ctx.n)
+        sp.induced(tp, right=alpha)
+        for sp, tp in zip(src_h.spaces, tgt_h.spaces)
     ]
     return mod.ModuleMap(src_h.module, tgt_h.module, mats)
 
 
-def hom_P_of_module_map(ctx, src_h, tgt_h, u):
+def hom_P_of_module_map(src_h, tgt_h, u):
     """Hom(P, u[shift]) for a module map u matching the two handles."""
     if src_h.shift != tgt_h.shift:
         raise ValueError("shift mismatch")
     d = -src_h.shift
     alpha = cx.ChainMap(src_h.Ysh, tgt_h.Ysh, {d: u})
-    return hom_P_map(ctx, src_h, tgt_h, alpha)
+    return hom_P_map(src_h, tgt_h, alpha)
 
 
 class QHomModule:
     """Hom(Q, N[shift]) over B, carried back to an A-module."""
 
     def __init__(self, ctx, N, shift):
-        self.ctx = ctx
-        self.N = N
         self.shift = shift
         A = ctx.A
         F = ctx.field
@@ -842,7 +821,7 @@ def bongartz_complete(P, rng=None):
     gens = minimal_approximation(EndP(mq), mcA1, "right")
     _, g = _approximation_map(mcA1, summands, gens, "right")
     Cmc, _, _ = cx.mapping_cone(g.shift(-1))
-    E_pc, _ = cx.proj_complex_from_module_complex(Cmc)
+    E_pc = cx.proj_complex_from_module_complex(Cmc)
     total = cx.proj_complex_direct_sum([Pb, E_pc])
     out, out_summands = basic_part(total, rng)
     # out has one summand per class found, so this is is_silting(out)
@@ -949,7 +928,10 @@ def torsion_resolution(ctx, X, variant):
     variant 'fcogen': 0 -> X -> F0 -> L -> 0, F0 minimal in add H^{-1}(nu P)
     variant 'fgen':   0 -> L -> F0 -> X -> 0, F0 = P0/tP0, P0 -> X a cover
     T0 and F0 of tgen and fcogen come from `minimal_approximation` over
-    ctx.h0_endp, resp. ctx.cogen_endp, so they lie in add by construction.
+    ctx.h0_endp, resp. ctx.cogen_endp: one copy of H^0(P_i) per generator
+    of the top of Hom(H^0(P), X) over its endomorphism algebra, resp. of
+    H^{-1}(nu P_i) per generator of the top of Hom(X, H^{-1}(nu P)) over
+    the opposite algebra, so they lie in add by construction.
     Returns (N, E, M, f, g, middle_ok) for the exact sequence 0->N->E->M->0.
     """
     tp = ctx.torsion_A
@@ -994,7 +976,8 @@ def _stalk_endp(mods):
 
 def _approximation(endp, X, side):
     """(S, u) for the minimal add-approximation of the module X by the
-    stalk modules of endp (None: no modules), from `minimal_approximation`.
+    stalk modules of endp (None: no modules), from `minimal_approximation`,
+    that is, from the top of the Hom module between them and X.
 
     S sums one module per generator, laid out one after another in every
     class, so u: S -> X (side "right") is the generators stacked and
@@ -1196,7 +1179,7 @@ def verify_theorem(ctx, battery=None, battery_b=None, max_dim=30, cap=60,
             qy = ctx.q_hom(hy.module, 1)
             maps, _ = mod.hom_space(X, Y)
             for u in maps:
-                w = hom_P_of_module_map(ctx, hx, hy, u)
+                w = hom_P_of_module_map(hx, hy, u)
                 uu = q_hom_map(ctx, qx, qy, w)
                 cases += 1
                 if uu.rank() != u.rank():

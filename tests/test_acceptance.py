@@ -84,7 +84,7 @@ def test_nakayama_fixture_triangle_and_strict_commuting_endo(paper_ctx):
     )
     # ... yet the induced endomorphism of the induced complex is not
     # null-homotopic, so the pair (0, c) is not the image of a = 0
-    w0 = silting.hom_P_map(ctx, ctx.HBc, ctx.HBc, c)
+    w0 = silting.hom_P_map(ctx.HBc, ctx.HBc, c)
     q_endo = cx.ChainMap(ctx.Q_mod, ctx.Q_mod, {0: w0})
     assert q_endo.check()
     hsQ = cx.hom_complexes(ctx.Q_mod, ctx.Q_mod, 0)

@@ -190,26 +190,33 @@ def _ref_induced(src, tgt, fn):
 
 def _ref_endp_mult(endo):
     """EndP's product table as it was: one ChainMap composition and
-    flat_of per pair of basis elements."""
+    flat_of per pair of basis elements.  Corner (i, l) of B is the
+    Hom space mq[l] -> mq[i], and its basis elements B.corner(i, l) are
+    the flats of their reps there."""
     F = endo.field
-    mult = F.zeros(endo.B.mult.shape)
-    for (i, l), hs in endo._corners.items():
-        ks = endo._corner_index[(i, l)]
-        if not ks:
-            continue
-        quot = linalg.Coords(
-            F, np.concatenate([hs.htpy, endo._corner_rows[(i, l)]], axis=0),
-            skip=hs.htpy.shape[0],
-        )
-        for j in range(endo.n):
-            ys = endo._corner_index[(j, l)]
-            if not ys:
+    B = endo.B
+    mult = F.zeros(B.mult.shape)
+    n = len(endo.mq)
+    for i in range(n):
+        for l in range(n):
+            ks = B.corner(i, l)
+            if not ks:
                 continue
-            for x in endo._corner_index[(i, j)]:
-                mult[x][np.ix_(ys, ks)] = quot.of(np.stack([
-                    hs.flat_of(endo.reps[y].compose(endo.reps[x]))
-                    for y in ys
-                ]))
+            hs = cx.HomSpace(endo.mq[l], endo.mq[i])
+            rows = np.stack([hs.flat_of(endo.reps[k]) for k in ks])
+            quot = linalg.Coords(
+                F, np.concatenate([hs.htpy, rows], axis=0),
+                skip=hs.htpy.shape[0],
+            )
+            for j in range(n):
+                ys = B.corner(j, l)
+                if not ys:
+                    continue
+                for x in B.corner(i, j):
+                    mult[x][np.ix_(ys, ks)] = quot.of(np.stack([
+                        hs.flat_of(endo.reps[y].compose(endo.reps[x]))
+                        for y in ys
+                    ]))
     return mult
 
 

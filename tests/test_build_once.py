@@ -77,7 +77,7 @@ def test_hom_P_of_is_memoized_and_equals_a_fresh_build(case):
         for shift in (0, 1):
             h = ctx.hom_P_of(X, shift)
             assert h is ctx.hom_P_of(X, shift)
-            fresh = silting.HomPModule(ctx, cx.stalk_complex(X), shift)
+            fresh = silting.HomPModule(ctx.endo, cx.stalk_complex(X), shift)
             assert _same_module(h.module, fresh.module)
 
 

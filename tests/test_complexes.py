@@ -285,9 +285,7 @@ def test_find_homotopy_witness(base):
     ctx = _fixture_context(base)
     rng = random.Random(0)
     spaces = [cx.HomSpace(ctx.mcA, ctx.mcPp)] + [
-        cx.HomSpace(ctx.mq[i], ctx.mq[j])
-        for i in range(ctx.n)
-        for j in range(ctx.n)
+        cx.HomSpace(X, Y) for X in ctx.mq for Y in ctx.mq
     ]
     nonzero = 0
     for hs in spaces:

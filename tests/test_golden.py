@@ -10,11 +10,14 @@ its complex, tests/golden/linear_a4.cpx, is `silt complete` of the seed
 complex P2 --x1--> P1.  They also cover the battery of linear A5
 (tests/golden/linear_a5.alg), the largest battery a case closes, and
 `check` and `endo` on linear A4 and A5, which read every Hom space of
-complexes and the chain endomorphism algebras, and `check`, `theorem` and
-`battery` on the self-injective Nakayama algebras N(3,3) and N(3,4)
-(tests/golden/nakayama_3_3.alg, nakayama_3_4.alg: the 3-cycle with every
-path of length 3, resp. 4, zero; each .cpx is `silt complete` of
-P2 --a1--> P1).  After a deliberate report change, rewrite them with
+complexes and the chain endomorphism algebras, and `check`, `endo`,
+`complete`, `theorem` and `battery` on the self-injective Nakayama
+algebras N(3,3) and N(3,4) (tests/golden/nakayama_3_3.alg,
+nakayama_3_4.alg: the 3-cycle with every path of length 3, resp. 4, zero;
+each .cpx is `silt complete` of P2 --a1--> P1).  Their `endo` prints the
+induced complex Q, which follows the choice and order of the minimal left
+approximation's generators, and their `complete` takes the minimal right
+approximation of A[1] over a non-hereditary algebra.  After a deliberate report change, rewrite them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -33,12 +36,15 @@ linear_a8-ar.txt, the JSON `theorem` and text `endo` and `ar` reports on
 linear A8 (linear_a8.alg, linear_a8.cpx), and linear_a8-check.txt, its
 `check` report, which the linear-a8-theorem CI job compares against (the
 same job compares `silt complete` of linear_a8_seed.cpx, P2 --x1--> P1,
-with linear_a8.cpx), nor tests/golden/nakayama_4_5-theorem.json, the JSON
-`theorem` report on N(4,5) (nakayama_4_5.alg, nakayama_4_5.cpx), which the
-nakayama-4-5-theorem CI job compares against, nor
-tests/golden/linear_a10-theorem.json, the JSON `theorem` report on linear
-A10 (linear_a10.alg, linear_a10.cpx, the `silt complete` of P2 --x1--> P1),
-which the linear-a10-theorem CI job compares against.
+with linear_a8.cpx), nor tests/golden/nakayama_4_5-theorem.json and
+nakayama_4_5-endo.txt, the JSON `theorem` and text `endo` reports on
+N(4,5) (nakayama_4_5.alg, nakayama_4_5.cpx), which the nakayama-4-5-theorem
+CI job compares against (the same job compares `silt complete` of
+nakayama_4_5_seed.cpx, P2 --a1--> P1, with nakayama_4_5.cpx), nor
+tests/golden/linear_a10-theorem.json and linear_a10-endo.txt, the JSON
+`theorem` and text `endo` reports on linear A10 (linear_a10.alg,
+linear_a10.cpx, the `silt complete` of P2 --x1--> P1), which the
+linear-a10-theorem CI job compares against.
 """
 
 import contextlib
@@ -117,7 +123,8 @@ def _cases():
     for nak in NAKAYAMA:
         alg = os.path.join(GOLDEN, nak + ".alg")
         cpx = os.path.join(GOLDEN, nak + ".cpx")
-        out.append(("%s-check.txt" % nak, ["check", alg, cpx]))
+        for cmd in ("check", "endo", "complete"):
+            out.append(("%s-%s.txt" % (nak, cmd), [cmd, alg, cpx]))
         out.append(("%s-theorem.json" % nak,
                     ["theorem", alg, cpx, "--report", "json"]))
         out.append(("%s-battery.json" % nak,

@@ -9,6 +9,10 @@ Every parameter of every function, method and lambda other than `self`
 is read somewhere in its body, and so is every local name it stores.  A
 stored name that is meant to go unread (an unpacking target) starts with
 an underscore.
+
+Every attribute the engine stores (`obj.name = ...`) is loaded somewhere
+in it, as `.name` or as the string of a `getattr`.  Like the first check
+this goes by name, not by class.
 """
 
 import ast
@@ -24,6 +28,14 @@ ALLOWED = {
     "summand_count",  # number of indecomposable projective summands
     "Ppp",  # P'' of the silting triangle, minimized on first read
     "is_tilting",  # silting and Hom(P, P[-1]) = 0, as one predicate
+}
+
+# Attributes that only the tests read, kept on the objects as reference
+# data for them.
+ATTRS_ALLOWED = {
+    "gen",  # generator e_c of the projective module e_c A
+    "pclass",  # class c of the projective module e_c A
+    "incls",  # inclusions of a ProjSum's summands
 }
 
 
@@ -129,3 +141,42 @@ def test_every_local_is_read():
             and local not in read and local not in declared
         ]
     assert unread == [], "locals never read: %s" % ", ".join(unread)
+
+
+def _attributes():
+    """({stored attribute: first "file:line"}, loaded attribute names),
+    with `getattr(x, "name", ...)` counted as a load of name."""
+    stored = {}
+    loaded = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute):
+                if isinstance(n.ctx, ast.Store):
+                    stored.setdefault(n.attr, "%s:%d" % (path.name, n.lineno))
+                else:
+                    loaded.add(n.attr)
+            elif (
+                isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Name)
+                and n.func.id == "getattr"
+                and len(n.args) >= 2
+                and isinstance(n.args[1], ast.Constant)
+            ):
+                loaded.add(n.args[1].value)
+    return stored, loaded
+
+
+def test_every_stored_attribute_is_loaded():
+    stored, loaded = _attributes()
+    unread = [
+        "%s %s" % (where, name) for name, where in sorted(stored.items())
+        if name not in loaded and name not in ATTRS_ALLOWED
+    ]
+    assert unread == [], "attributes never loaded: %s" % ", ".join(unread)
+
+
+def test_attribute_allowlist_is_stored_and_unread():
+    stored, loaded = _attributes()
+    assert ATTRS_ALLOWED <= set(stored)
+    assert not ATTRS_ALLOWED & loaded

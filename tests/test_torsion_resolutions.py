@@ -12,6 +12,15 @@ term in the right class, and no middle term may be larger than the
 reference's.  The minimal approximations must have as many generators as
 theory says: the top of Hom(P, X) over B for `tgen`, and the socle of
 Hom(P, X[1]) for `fcogen`, since Hom(X, H^{-1}(nu P)) = D Hom(P, X[1]).
+
+`minimal_approximation` reads its generators off the top of the Hom
+module, `modules.top_generators` of a `HomPModule`.
+`_ref_minimal_approximation` is its earlier body, which summed the
+images of the corner parts of every radical basis element of End(P)
+summand by summand.  On every call that the triangle of
+`SiltingContext`, the `tgen` and `fcogen` resolutions and
+`bongartz_complete` make, both must give the same generators: the same
+summand, and the same chain-map blocks with the same dtype.
 """
 
 import os
@@ -60,6 +69,65 @@ def _ref_approximation(G, X, side):
     ]
     big = mod.ModuleMap(X, S, mats) if left else mod.ModuleMap(S, X, mats)
     return S, big, parts
+
+
+def _ref_minimal_approximation(endp, X, side):
+    """minimal_approximation as it was: for each summand i, the radical
+    image in Hom(X, P_i) (or Hom(P_i, X)) summed from the corner parts of
+    every radical basis element of End(P), one induced map per nonzero
+    part, and a complement of it against the identity."""
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    F = endp.field
+    B = endp.B
+    left = side == "left"
+    n = len(endp.mq)
+    # corner (i, j): the Hom space mq[j] -> mq[i], with the flats of the
+    # reps of its basis elements B.corner(i, j)
+    corners = {}
+    for i in range(n):
+        for j in range(n):
+            ks = B.corner(i, j)
+            if ks:
+                hs = cx.HomSpace(endp.mq[j], endp.mq[i])
+                rows = np.stack([hs.flat_of(endp.reps[k]) for k in ks])
+                corners[(i, j)] = (ks, hs, rows)
+
+    def corner_rep(vec, i, j):
+        if (i, j) not in corners:
+            return None
+        ks, hs, rows = corners[(i, j)]
+        x = vec[ks]
+        if not np.any(x != 0):
+            return None
+        return hs.map_from_flat(F.matmul(x.reshape(1, -1), rows)[0])
+
+    V = [cx.HomSpace(X, q) if left else cx.HomSpace(q, X) for q in endp.mq]
+    radB = B.radical()
+    gens = []
+    for i in range(n):
+        if V[i].dim == 0:
+            continue
+        blocks = []
+        for r in range(radB.shape[0]):
+            for j in range(n):
+                rep = corner_rep(radB[r], i, j) if left else \
+                    corner_rep(radB[r], j, i)
+                if rep is None:
+                    continue
+                blocks.append(
+                    V[j].induced(V[i], right=rep) if left
+                    else V[j].induced(V[i], left=rep)
+                )
+        radimg = (
+            linalg.row_space(F, np.concatenate(blocks, axis=0))
+            if blocks
+            else F.zeros((0, V[i].dim))
+        )
+        for row in linalg.complement(F, radimg, F.eye(V[i].dim)):
+            flat = F.matmul(row.reshape(1, -1), V[i].class_basis)[0]
+            gens.append((i, V[i].map_from_flat(flat)))
+    return gens
 
 
 def _ref_factor(pr, f):
@@ -180,3 +248,48 @@ def test_injective_envelope_equals_the_search(case):
         I_ref, _ = _ref_injective_envelope(X, random.Random(0))
         assert _same_module(I, I_ref)
         assert f.check() and f.is_injective()
+
+
+def _same_generators(gens, ref):
+    assert [i for i, _ in gens] == [i for i, _ in ref]
+    for (_, g), (_, h) in zip(gens, ref):
+        assert sorted(g.maps) == sorted(h.maps)
+        for d in g.maps:
+            for a, b in zip(g.maps[d].mats, h.maps[d].mats):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Route every call of silting.minimal_approximation through a check
+    against the reference; the list counts the calls by side."""
+    seen = []
+    real = silting.minimal_approximation
+
+    def checked(endp, X, side):
+        gens = real(endp, X, side)
+        _same_generators(gens, _ref_minimal_approximation(endp, X, side))
+        seen.append(side)
+        return gens
+
+    monkeypatch.setattr(silting, "minimal_approximation", checked)
+    return seen
+
+
+def test_minimal_approximation_equals_the_radical_loop(case, recorded):
+    ctx, battery = case
+    P = cx.proj_complex_direct_sum(ctx.summands)
+    # the triangle A -> P' -> P'' -> A[1]: one left approximation per class
+    silting.SiltingContext(P)
+    assert recorded.count("left") == ctx.A.nclasses
+    # Bongartz: the right approximation of A[1], for P and its summands
+    for s in [P] + ctx.summands:
+        silting.bongartz_complete(s)
+    assert "right" in recorded
+    tp = ctx.torsion_A
+    for X in battery:
+        if tp.in_torsion(X):
+            silting.torsion_resolution(ctx, X, "tgen")
+        if tp.in_free(X):
+            silting.torsion_resolution(ctx, X, "fcogen")
+    assert len(recorded) > ctx.A.nclasses + 1 + len(ctx.summands)

@@ -15,9 +15,9 @@ def stalk_in_add_p(ctx, i, shift=0):
     """Is the stalk complex P_i[shift] a summand class of P?
 
     The summands are minimal, and minimal complexes are homotopy
-    equivalent only when they are isomorphic, so this compares terms.
+    equivalent only when they are isomorphic, so this compares classes.
     """
-    return any(s.terms == {-shift: [i]} for s in ctx.summands)
+    return any(s.classes == {-shift: [i]} for s in ctx.summands)
 
 
 def _is_injective_over(B, Y):
@@ -107,18 +107,17 @@ def hereditary_certificate(A):
     return True
 
 
-def splitting_check(ctx, battery=None, certified=False):
+def splitting_check(ctx, battery, certified):
     """Is the induced torsion pair over B split?
 
-    Certified when A is hereditary; otherwise an Ext^2 battery scan over
-    pairs (M in T, N in F) gives evidence or a counterexample.
+    Certified when A is hereditary; otherwise an Ext^2 scan of the battery
+    (certified: it holds every indecomposable) over pairs (M in T, N in F)
+    gives evidence or a counterexample.
     """
     if hereditary_certificate(ctx.A):
         return _entry(
             "splitting", "certified", {"verdict": "CERTIFIED-SPLITTING"}
         )
-    if battery is None:
-        battery, certified = silting.module_battery(ctx.A, ctx.torsion_A)
     tp = ctx.torsion_A
     tside = [X for X in battery if tp.in_torsion(X)]
     fside = [X for X in battery if tp.in_free(X)]
@@ -142,10 +141,8 @@ def splitting_check(ctx, battery=None, certified=False):
     )
 
 
-def separating_check(ctx, battery=None, certified=False):
+def separating_check(ctx, battery, certified):
     """Does every battery indecomposable lie in T(P) or F(P)?"""
-    if battery is None:
-        battery, certified = silting.module_battery(ctx.A, ctx.torsion_A)
     tp = ctx.torsion_A
     witness = None
     for X in battery:
@@ -183,24 +180,18 @@ def _hom_p_sequence(ctx, tX, E, X, f, g, shift):
     return h1.module, h2.module, h3.module, w1, w2
 
 
-def split_ar_report(ctx, battery=None, battery_b=None, sp=None):
+def split_ar_report(ctx, battery, battery_b, sp):
     """Split-case inventory: transported AR sequences plus the trichotomy.
 
     Requires the splitting verdict to be certified.  AR sequences of mod A
     lying inside the torsion (resp. torsion-free) class are pushed through
     Hom(P, -) (resp. Hom(P, -[1])) and checked almost split over B; every
     AR sequence of mod B ending at a battery module is classified as
-    torsion-side, free-side, or connecting.  sp is the splitting entry
-    when the caller has already computed it.
+    torsion-side, free-side, or connecting.  battery and battery_b are
+    module batteries over A and B, and sp is the `splitting_check` entry.
     """
-    if sp is None:
-        sp = splitting_check(ctx, battery)
     if sp["dims"].get("verdict") != "CERTIFIED-SPLITTING":
         raise PreconditionError("splitting is not certified")
-    if battery is None:
-        battery, _ = silting.module_battery(ctx.A, ctx.torsion_A)
-    if battery_b is None:
-        battery_b, _ = silting.module_battery(ctx.B, ctx.torsion_B)
     tp = ctx.torsion_A
     tpB = ctx.torsion_B
     entries = [sp]

@@ -316,10 +316,10 @@ def element_expr(A, vec):
 def emit_complex(P, name):
     """Complex file text for a two-term complex (single summand block)."""
     lines = ["complex %s" % name, "summand"]
-    for d in sorted(P.terms):
-        for c in P.terms[d]:
+    for d in sorted(P.classes):
+        for c in P.classes[d]:
             lines.append("  deg %d P%d" % (d, c + 1))
-    if -1 in P.terms and 0 in P.terms:
+    if -1 in P.classes and 0 in P.classes:
         e = P.diff(-1)
         for r in range(e.shape[0]):
             for c in range(e.shape[1]):
@@ -461,7 +461,7 @@ def cmd_endo(args):
         {"name": "gabriel-quiver", "status": "pass",
          "dims": {"vertices": n, "arrows": int(counts.sum())}},
         {"name": "induced-complex", "status": "pass",
-         "dims": {"terms-%d" % d: len(c) for d, c in ctx.Q.terms.items()}},
+         "dims": {"terms-%d" % d: len(c) for d, c in ctx.Q.classes.items()}},
     ]
     report = rep.make_report(
         _fixture_id(args.complex), field_name(A.field), checks

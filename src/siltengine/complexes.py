@@ -1,18 +1,22 @@
 """Bounded complexes over a finite dimensional algebra.
 
-Two representations are used together:
+A ModuleComplex is a cochain complex of modules with ModuleMap
+differentials (d^i : X^i -> X^{i+1}).  Chain maps, Hom modulo homotopy,
+cones and cohomology are computed on it.
 
-* ModuleComplex: cochain complex of modules with ModuleMap differentials
-  (d^i : X^i -> X^{i+1}).  All chain-map and homotopy computations happen
-  here.
-* ProjComplex: complex of direct sums of indecomposable projectives,
-  recorded by summand classes and an algebra-entry matrix per
-  differential.  Entry [j, k] lies in e_{c_k} A e_{d_j} and sends
-  generator j to generator k times the entry.  This representation
-  supports minimization and summand bookkeeping.  Every computation on
-  entries reads them through one batched `Algebra.lm`: `entry_compose`
-  (which minimization's elimination step calls), the module form
-  (`ProjSum.map_from_entries`) and the Nakayama functor `nu_complex`.
+A ProjComplex is a ModuleComplex whose terms are direct sums of
+indecomposable projectives.  It records each term by its summand classes
+(`classes`) and each differential by an algebra-entry matrix (`diffs`):
+entry [j, k] lies in e_{c_k} A e_{d_j} and sends generator j to generator
+k times the entry.  Minimization, direct sums, shifts and summand
+bookkeeping work on the entries; the module terms (the `proj_sum`
+modules) and differentials are built from them on first read.  Every
+computation on entries reads them through one batched `Algebra.lm`:
+`entry_compose` (which minimization's elimination step calls), the module
+differentials (`ProjSum.map_from_entries`) and the Nakayama functor
+`nu_complex`.  A complex of projective modules built as a ModuleComplex
+(the image of an idempotent, a cone, the induced complex Q) is read back
+into a ProjComplex through the projective cover of each term.
 """
 
 import functools
@@ -166,8 +170,8 @@ class HomSpace:
     the homotopies are the images s d_Y + d_X s of the `hom_space` bases
     of X^d -> Y^{d-1}.  Both are composed in batches with
     `modules.compose_flats`, one product per degree and class.  The terms
-    of a `ProjComplex.module_form` are ProjSum modules, whose `hom_space`
-    bases are read off generator images without a solve.
+    of a ProjComplex are ProjSum modules, whose `hom_space` bases are read
+    off generator images without a solve.
     """
 
     def __init__(self, X, Y):
@@ -436,65 +440,60 @@ def mapping_cone(f):
 # ---- complexes of projectives -------------------------------------------
 
 
-class ProjComplex:
+class ProjComplex(ModuleComplex):
     """Complex of direct sums of indecomposable projectives.
 
-    terms: {degree: list of idempotent classes}
+    classes: {degree: list of idempotent classes}
     diffs: {degree: entries array (len src, len tgt, dim A)}
+    The module terms and differentials are built from them on first read.
     """
 
-    def __init__(self, A, terms, diffs):
+    def __init__(self, A, classes, diffs):
         self.A = A
         self.field = A.field
-        self.terms = {d: list(c) for d, c in terms.items() if c}
+        self.classes = {d: list(c) for d, c in classes.items() if c}
         self.diffs = {
             d: e
             for d, e in diffs.items()
-            if d in self.terms and (d + 1) in self.terms
+            if d in self.classes and (d + 1) in self.classes
         }
-        self._module_form = None
 
-    def degrees(self):
-        return sorted(self.terms)
+    @functools.cached_property
+    def terms(self):
+        return {d: mod.proj_sum(self.A, cl).module
+                for d, cl in self.classes.items()}
+
+    @functools.cached_property
+    def dmaps(self):
+        return {d: self.terms[d].psum.map_from_entries(
+                    self.terms[d + 1].psum, e)
+                for d, e in self.diffs.items()}
 
     def diff(self, d):
         if d in self.diffs:
             return self.diffs[d]
-        ns = len(self.terms.get(d, []))
-        nt = len(self.terms.get(d + 1, []))
+        ns = len(self.classes.get(d, []))
+        nt = len(self.classes.get(d + 1, []))
         return self.field.zeros((ns, nt, self.A.dim))
 
     def check(self):
-        for d in self.degrees():
-            if (d + 2) in self.terms or (d + 1) in self.terms:
+        """d^2 = 0 on the entries, without building the module terms."""
+        for d in sorted(self.classes):
+            if (d + 2) in self.classes or (d + 1) in self.classes:
                 sq = entry_compose(self.A, self.diff(d), self.diff(d + 1))
                 if np.any(sq != 0):
                     return False
         return True
 
-    def module_form(self):
-        """(ModuleComplex, {degree: ProjSum})."""
-        if self._module_form is None:
-            psums = {d: mod.proj_sum(self.A, cl) for d, cl in self.terms.items()}
-            terms = {d: ps.module for d, ps in psums.items()}
-            dmaps = {}
-            for d in self.diffs:
-                dmaps[d] = psums[d].map_from_entries(
-                    psums[d + 1], self.diff(d)
-                )
-            mc = ModuleComplex(self.A, terms, dmaps)
-            self._module_form = (mc, psums)
-        return self._module_form
-
     def shift(self, n):
         F = self.field
         sign = 1 if n % 2 == 0 else linalg.neg_one(F)
-        terms = {d - n: list(c) for d, c in self.terms.items()}
+        classes = {d - n: list(c) for d, c in self.classes.items()}
         diffs = {d - n: F.reduce(sign * e) for d, e in self.diffs.items()}
-        return ProjComplex(self.A, terms, diffs)
+        return ProjComplex(self.A, classes, diffs)
 
     def summand_count(self):
-        return sum(len(c) for c in self.terms.values())
+        return sum(len(c) for c in self.classes.values())
 
     def is_minimal(self):
         """All differential entries lie in the radical: one solve of all
@@ -523,22 +522,22 @@ def entry_compose(A, a, b):
 def proj_complex_direct_sum(xs):
     A = xs[0].A
     F = A.field
-    degs = sorted({d for x in xs for d in x.terms})
-    terms = {}
+    degs = sorted({d for x in xs for d in x.classes})
+    classes = {}
     offsets = {}
     for d in degs:
         cl = []
         offs = []
         for x in xs:
             offs.append(len(cl))
-            cl.extend(x.terms.get(d, []))
-        terms[d] = cl
+            cl.extend(x.classes.get(d, []))
+        classes[d] = cl
         offsets[d] = offs
     diffs = {}
     for d in degs:
-        if (d + 1) not in terms:
+        if (d + 1) not in classes:
             continue
-        ns, nt = len(terms[d]), len(terms[d + 1])
+        ns, nt = len(classes[d]), len(classes[d + 1])
         e = F.zeros((ns, nt, A.dim))
         for xi, x in enumerate(xs):
             xe = x.diff(d)
@@ -546,15 +545,13 @@ def proj_complex_direct_sum(xs):
             c0 = offsets[d + 1][xi]
             e[r0 : r0 + xe.shape[0], c0 : c0 + xe.shape[1]] = xe
         diffs[d] = e
-    return ProjComplex(A, terms, diffs)
+    return ProjComplex(A, classes, diffs)
 
 
 def two_term_complex(A, classes_m1, classes_0, entries):
     """Complex [P^{-1} -> P^0] in degrees -1 and 0."""
-    terms = {-1: list(classes_m1), 0: list(classes_0)}
-    diffs = {-1: entries}
-    X = ProjComplex(A, terms, diffs)
-    return X
+    return ProjComplex(
+        A, {-1: list(classes_m1), 0: list(classes_0)}, {-1: entries})
 
 
 def stalk_proj_complex(A, classes, degree=0):
@@ -568,14 +565,14 @@ def minimize(X):
     """Homotopy-equivalent complex with all differential entries radical."""
     A = X.A
     F = A.field
-    terms = {d: list(c) for d, c in X.terms.items()}
+    classes = {d: list(c) for d, c in X.classes.items()}
     diffs = {d: np.array(X.diff(d), copy=True) for d in X.diffs}
 
     def get_diff(d):
         if d in diffs:
             return diffs[d]
-        ns = len(terms.get(d, []))
-        nt = len(terms.get(d + 1, []))
+        ns = len(classes.get(d, []))
+        nt = len(classes.get(d + 1, []))
         return F.zeros((ns, nt, A.dim))
 
     changed = True
@@ -586,9 +583,9 @@ def minimize(X):
             unit = None
             for j in range(e.shape[0]):
                 for k in range(e.shape[1]):
-                    if terms[d][j] != terms[d + 1][k]:
+                    if classes[d][j] != classes[d + 1][k]:
                         continue
-                    inv = A.corner_inverse(e[j, k], terms[d][j])
+                    inv = A.corner_inverse(e[j, k], classes[d][j])
                     if inv is not None:
                         unit = (j, k, inv)
                         break
@@ -631,11 +628,11 @@ def minimize(X):
                 if np.any(nxt[k, :] != 0):
                     raise RuntimeError("minimization: outgoing map did not clear")
                 diffs[d + 1] = nxt[keep_k, :]
-            terms[d] = [terms[d][x] for x in keep_j]
-            terms[d + 1] = [terms[d + 1][x] for x in keep_k]
+            classes[d] = [classes[d][x] for x in keep_j]
+            classes[d + 1] = [classes[d + 1][x] for x in keep_k]
             changed = True
             break
-    out = ProjComplex(A, terms, diffs)
+    out = ProjComplex(A, classes, diffs)
     if not out.check():
         raise RuntimeError("minimization broke d^2 = 0")
     if not out.is_minimal():
@@ -647,7 +644,7 @@ def minimize(X):
 
 
 def chain_end_algebra(X):
-    """Chain endomorphisms of a module-form complex as an Algebra.
+    """Chain endomorphisms of a complex as an Algebra.
 
     Returns (Algebra, list of ChainMaps matching its basis, HomSpace of
     the pair for homotopy bookkeeping).  Identity is basis element 0.
@@ -669,9 +666,9 @@ def decompose_complex(X, rng=None):
     group are isomorphic.  `summand_class_count` counts the groups with
     the same random draws and no images.
     """
-    mc, basis_maps, groups = _primitive_idempotents(X, rng)
+    Xm, basis_maps, groups = _primitive_idempotents(X, rng)
     return [
-        [_standardize_summand(mc, mod.combination(basis_maps, el))
+        [_standardize_summand(Xm, mod.combination(basis_maps, el))
          for el in g]
         for g in groups
     ]
@@ -685,14 +682,13 @@ def summand_class_count(X, rng):
 
 
 def _primitive_idempotents(X, rng):
-    """(module form of minimized X, chain End basis maps, primitive
-    idempotents of End grouped by isomorphism class)."""
+    """(minimized X, chain End basis maps, primitive idempotents of End
+    grouped by isomorphism class)."""
     Xm = minimize(X)
-    if not Xm.terms:
+    if not Xm.classes:
         return None, [], []
-    mc, _ = Xm.module_form()
-    E, basis_maps, _ = chain_end_algebra(mc)
-    return mc, basis_maps, E.decompose_identity(rng)
+    E, basis_maps, _ = chain_end_algebra(Xm)
+    return Xm, basis_maps, E.decompose_identity(rng)
 
 
 def _standardize_summand(mc, emap):
@@ -755,14 +751,12 @@ def complexes_isomorphic(X, Y, rng=None):
     """Isomorphism in the homotopy category, tested after minimization."""
     rng = rng or random.Random(0)
     Xm, Ym = minimize(X), minimize(Y)
-    if sorted(Xm.terms) != sorted(Ym.terms):
-        return (Xm.terms == {} and Ym.terms == {}) or None
-    for d in Xm.terms:
-        if sorted(Xm.terms[d]) != sorted(Ym.terms[d]):
+    if sorted(Xm.classes) != sorted(Ym.classes):
+        return (Xm.classes == {} and Ym.classes == {}) or None
+    for d in Xm.classes:
+        if sorted(Xm.classes[d]) != sorted(Ym.classes[d]):
             return None
-    mx, _ = Xm.module_form()
-    my, _ = Ym.module_form()
-    hs = HomSpace(mx, my)
+    hs = HomSpace(Xm, Ym)
     for v in linalg.candidates(X.field, hs.chain_basis, rng, 40):
         f = hs.map_from_flat(v)
         if f.is_chain_iso():
@@ -783,7 +777,7 @@ def nu_complex(X):
     """
     A = X.A
     Aop = mod.opposite_algebra(A)
-    psums = {d: mod.proj_sum(Aop, cl) for d, cl in X.terms.items()}
+    psums = {d: mod.proj_sum(Aop, cl) for d, cl in X.classes.items()}
     terms = {d: mod.dual_module(ps.module, A) for d, ps in psums.items()}
     dmaps = {}
     for d in X.diffs:

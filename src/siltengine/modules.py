@@ -53,20 +53,6 @@ class Module:
         """Class-c block of a total-coordinate row vector (or matrix)."""
         return v[..., self.offsets[c] : self.offsets[c + 1]]
 
-    def act_total(self, x):
-        """Total-space matrix of the right action of an algebra element x."""
-        F = self.field
-        m = F.zeros((self.total, self.total))
-        for b in range(self.A.dim):
-            if x[b] == 0:
-                continue
-            s, t = int(self.A.src[b]), int(self.A.tgt[b])
-            m[
-                self.offsets[s] : self.offsets[s + 1],
-                self.offsets[t] : self.offsets[t + 1],
-            ] += x[b] * self.act[b]
-        return F.reduce(m)
-
     def check(self):
         """Module axioms against the multiplication table.
 
@@ -582,28 +568,33 @@ def image_vectors(f):
     return linalg.row_space(F, m)
 
 
+def _radical_action(M):
+    """(r, total, total) array: the total-space matrix of the right action
+    of each of the r basis rows of rad A, from one product of rad A with
+    the action matrices laid out on the total space."""
+    F, A, n = M.field, M.A, M.total
+    lay = F.zeros((A.dim, n, n))
+    for b in range(A.dim):
+        s, t = int(A.src[b]), int(A.tgt[b])
+        lay[b, M.offsets[s]:M.offsets[s + 1],
+            M.offsets[t]:M.offsets[t + 1]] = M.act[b]
+    rad = A.radical()
+    return F.matmul(rad, lay.reshape(A.dim, n * n)).reshape(
+        rad.shape[0], n, n)
+
+
 def radical_vectors(M):
     """Total-vector basis of M * rad(A)."""
-    F = M.field
-    rad = M.A.radical()
-    rows = []
-    for i in range(rad.shape[0]):
-        op = M.act_total(rad[i])
-        rows.append(op)
-    if not rows:
-        return F.zeros((0, M.total))
-    return linalg.row_space(F, np.concatenate(rows, axis=0))
+    ops = _radical_action(M)
+    return linalg.row_space(
+        M.field, ops.reshape(ops.shape[0] * M.total, M.total))
 
 
 def socle_vectors(M):
     """Total vectors killed by the radical (the socle submodule)."""
-    F = M.field
-    rad = M.A.radical()
-    if rad.shape[0] == 0:
-        return F.eye(M.total)
-    mats = [M.act_total(rad[i]) for i in range(rad.shape[0])]
-    stacked = np.concatenate(mats, axis=1)
-    return linalg.row_space(F, linalg.kernel(F, stacked.T))
+    ops = _radical_action(M)
+    stacked = ops.transpose(1, 0, 2).reshape(M.total, ops.shape[0] * M.total)
+    return linalg.row_space(M.field, linalg.kernel(M.field, stacked.T))
 
 
 # ---- projective covers and presentations --------------------------------

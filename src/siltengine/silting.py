@@ -36,8 +36,7 @@ def _require_two_term(P):
 def is_presilting(P):
     """(verdict, witness): witness is a nonzero class in Hom(P, P[1])."""
     _require_two_term(P)
-    mc, _ = P.module_form()
-    hs = cx.hom_complexes(mc, mc, 1)
+    hs = cx.hom_complexes(P, P, 1)
     if hs.dim == 0:
         return True, None
     return False, hs.class_map(0)
@@ -66,8 +65,7 @@ def is_tilting(P, rng=None):
 
 def negative_hom_vanishes(P):
     """(verdict, witness): witness is a nonzero class in Hom(P, P[-1])."""
-    mc, _ = P.module_form()
-    hs = cx.hom_complexes(mc, mc, -1)
+    hs = cx.hom_complexes(P, P, -1)
     if hs.dim == 0:
         return True, None
     return False, hs.class_map(0)
@@ -100,7 +98,7 @@ class TorsionPair:
         self.P = P
         self.A = P.A
         self.field = P.A.field
-        self.h0 = P.module_form()[0].cohomology(0)
+        self.h0 = P.cohomology(0)
         self.cogen = cx.nu_complex(P).cohomology(-1)
         # each entry keeps its module alive so id-based keys stay unique
         self._cache = {}
@@ -108,26 +106,24 @@ class TorsionPair:
     def _ker_dx(self, X):
         """(basis of ker D_X as rows, dim coker D_X), built once per module.
 
-        Block (k, j) of D_X is sum_b d_jk[b] X.act[b], for generator k of
-        P^0 and j of P^{-1}: no solve is needed to write it down.
+        Rows of D_X are the generator-image basis of Hom(P^0, X) that
+        `ProjSum.hom_to` writes down without a solve, each composed with
+        d in one `modules.compose_flats`, as the Ext deltas are.  A map
+        out of P^{-1} is zero iff its generator images are, so its flat
+        layout has the same kernel as one read on generators.
         """
         key = ("d", id(X))
         if key not in self._cache:
             F = self.field
-            c0, c1 = self.P.terms.get(0, []), self.P.terms.get(-1, [])
-            d = self.P.diff(-1)
-            o0 = np.cumsum([0] + [X.dims[c] for c in c0])
-            o1 = np.cumsum([0] + [X.dims[c] for c in c1])
-            dx = F.zeros((o0[-1], o1[-1]))
-            for j in range(len(c1)):
-                for k in range(len(c0)):
-                    for b in np.flatnonzero(d[j, k].astype(bool)):
-                        dx[o0[k]:o0[k + 1], o1[j]:o1[j + 1]] += (
-                            d[j, k, b] * X.act[b]
-                        )
-            ker = linalg.kernel(F, F.reduce(dx).T)
+            classes = self.P.classes
+            ps0 = mod.proj_sum(self.A, classes.get(0, []))
+            dx = mod.compose_flats(
+                ps0.hom_to(X), ps0.module, X, left=self.P.dmap(-1)
+            )
+            ker = linalg.kernel(F, dx.T)
             rank = dx.shape[0] - ker.shape[0]
-            self._cache[key] = (X, ker, dx.shape[1] - rank)
+            n1 = sum(X.dims[c] for c in classes.get(-1, []))
+            self._cache[key] = (X, ker, n1 - rank)
         return self._cache[key][1:]
 
     def hom_dims(self, X):
@@ -148,7 +144,7 @@ class TorsionPair:
         ker, _ = self._ker_dx(X)
         if not ker.shape[0]:
             return F.zeros((0, X.total))
-        c0 = self.P.terms.get(0, [])
+        c0 = self.P.classes.get(0, [])
         starts = np.cumsum([0] + [X.dims[c] for c in c0]).tolist()
         rows = []
         for c in sorted(set(c0)):
@@ -240,8 +236,8 @@ class TorsionPair:
 
 
 class EndP:
-    """B = End(P) in the homotopy category, for the module forms mq of the
-    indecomposable summands of a basic complex P.
+    """B = End(P) in the homotopy category, for the indecomposable
+    summands mq of a basic complex P.
 
     Basis element k of B is the class of the chain map reps[k] from
     mq[B.tgt[k]] to mq[B.src[k]]; the identity comes first in each
@@ -365,10 +361,8 @@ class SiltingContext:
             )
         self.summands = [g[0] for g in groups]
         self.P = cx.proj_complex_direct_sum(self.summands)
-        self.mcP, _ = self.P.module_form()
-        self.tilting = cx.hom_complexes(self.mcP, self.mcP, -1).dim == 0
-        self.mq = [s.module_form()[0] for s in self.summands]
-        self.endo = EndP(self.mq)
+        self.tilting = cx.hom_complexes(self.P, self.P, -1).dim == 0
+        self.endo = EndP(self.summands)
         self.B, self.reps = self.endo.B, self.endo.reps
         self._build_delta()
         self._build_q()
@@ -380,7 +374,7 @@ class SiltingContext:
     def h0_endp(self):
         """EndP of the stalks of the nonzero H^0(P_i), or None.  They are
         indecomposable and pairwise non-isomorphic (Adachi-Iyama-Reiten)."""
-        return _stalk_endp([m.cohomology(0) for m in self.mq])
+        return _stalk_endp([s.cohomology(0) for s in self.summands])
 
     @functools.cached_property
     def cogen_endp(self):
@@ -393,22 +387,21 @@ class SiltingContext:
     def _build_delta(self):
         A = self.A
         self.stalkA = cx.stalk_proj_complex(A, list(range(A.nclasses)))
-        self.mcA, psA = self.stalkA.module_form()
-        self.psA0 = psA[0]
+        self.psA0 = self.stalkA.term(0).psum
         # a minimal left approximation of each P_c, read as maps out of A
         # through the projection onto P_c
         gens = []
         for c in range(A.nclasses):
-            st = cx.stalk_proj_complex(A, [c]).module_form()[0]
+            st = cx.stalk_proj_complex(A, [c])
             pr = self.psA0.projs[c]
             gens.extend(
-                (i, cx.ChainMap(self.mcA, m.tgt, {0: pr.compose(m.map_at(0))}))
+                (i, cx.ChainMap(
+                    self.stalkA, m.tgt, {0: pr.compose(m.map_at(0))}))
                 for i, m in minimal_approximation(self.endo, st, "left")
             )
         self.Pp, self.e = _approximation_map(
-            self.mcA, self.summands, gens, "left"
+            self.stalkA, self.summands, gens, "left"
         )
-        self.mcPp = self.Pp.module_form()[0]
         if not self.e.check():
             raise RuntimeError("approximation map is not a chain map")
         self._assert_approximation(self.e, "left")
@@ -416,7 +409,7 @@ class SiltingContext:
         # reads it
         self.mcC, self.f, self.g = cx.mapping_cone(self.e)
         self.cone = cx.proj_complex_from_module_complex(self.mcC)
-        if not cx.HomSpace(self.mcA, self.mcC).is_nullhomotopic(
+        if not cx.HomSpace(self.stalkA, self.mcC).is_nullhomotopic(
             self.e.compose(self.f)
         ):
             raise RuntimeError("triangle composite e.f not null-homotopic")
@@ -458,7 +451,7 @@ class SiltingContext:
         """
         F = self.field
         left = side == "left"
-        for T in ([self.mcP] if left else self.mq):
+        for T in ([self.P] if left else self.summands):
             V = cx.HomSpace(u.src, T) if left else cx.HomSpace(T, u.tgt)
             if V.nflat == 0:
                 continue
@@ -490,7 +483,7 @@ class SiltingContext:
         )
 
     def _build_q(self):
-        self.HBp = self.hom_P(self.mcPp, 0)
+        self.HBp = self.hom_P(self.Pp, 0)
         self.HBc = self.hom_P(self.mcC, 0)
         terms = {}
         dmaps = {}
@@ -519,13 +512,11 @@ class SiltingContext:
     def _build_phi(self):
         A = self.A
         F = self.field
-        hsAP = cx.HomSpace(self.mcA, self.mcPp)
-        hsEnd = cx.HomSpace(self.mcPp, self.mcPp)
+        hsAP = cx.HomSpace(self.stalkA, self.Pp)
+        hsEnd = cx.HomSpace(self.Pp, self.Pp)
         # e . b for each chain endomorphism b of P', then the homotopies
         ebasis = np.concatenate([
-            cx.compose_flats(
-                hsEnd.chain_basis, self.mcPp, self.mcPp, left=self.e
-            ),
+            cx.compose_flats(hsEnd.chain_basis, self.Pp, self.Pp, left=self.e),
             hsAP.htpy,
         ], axis=0)
         self.EndQ = cx.HomSpace(self.Q_mod, self.Q_mod)
@@ -553,7 +544,7 @@ class SiltingContext:
         F = self.field
         neg = linalg.neg_one(F)
         lam = self.left_mult_map(avec)
-        chain_a = cx.ChainMap(self.mcA, self.mcA, {0: lam})
+        chain_a = cx.ChainMap(self.stalkA, self.stalkA, {0: lam})
         target = chain_a.compose(self.e)
         if hsAP.nflat > 0:
             co = linalg.coords_in_basis(F, ebasis, hsAP.flat_of(target))
@@ -567,11 +558,11 @@ class SiltingContext:
             if hdict is None:
                 raise RuntimeError("commutation defect not null-homotopic")
             t = hdict.get(
-                0, mod.zero_map(self.mcA.term(0), self.mcPp.term(-1))
+                0, mod.zero_map(self.stalkA.term(0), self.Pp.term(-1))
             )
         else:
-            b = cx.ChainMap(self.mcPp, self.mcPp, {})
-            t = mod.zero_map(self.mcA.term(0), self.mcPp.term(-1))
+            b = cx.ChainMap(self.Pp, self.Pp, {})
+            t = mod.zero_map(self.stalkA.term(0), self.Pp.term(-1))
         cmaps = {}
         if 0 in self.mcC.terms:
             cmaps[0] = mod.ModuleMap(
@@ -581,7 +572,7 @@ class SiltingContext:
         b1 = b.map_at(-1)
         mats = []
         for d in range(self.A.nclasses):
-            p = self.mcPp.term(-1).dims[d]
+            p = self.Pp.term(-1).dims[d]
             m = F.zeros((Cm1.dims[d], Cm1.dims[d]))
             if p:
                 m[:p, :p] = b1.mats[d]
@@ -604,16 +595,16 @@ class SiltingContext:
 
     def _factorization_kernel(self):
         F = self.field
-        hs = cx.HomSpace(self.mcPp, self.mcC.shift(-1))
+        hs = cx.HomSpace(self.Pp, self.mcC.shift(-1))
         if not hs.chain_basis.shape[0]:
             return F.zeros((0, self.A.dim))
         # e . eta . g[-1] : A -> A for each chain map eta, flat in degree 0
         gshift = self.g.shift(-1)
         chis = cx.compose_flats(
             cx.compose_flats(hs.chain_basis, hs.X, hs.Y, left=self.e),
-            self.mcA, hs.Y, right=gshift,
+            self.stalkA, hs.Y, right=gshift,
         )
-        M = self.mcA.term(0)
+        M = self.stalkA.term(0)
         return linalg.row_space(F, np.stack([
             self.element_of_regular_endo(mod.map_from_flat(M, M, chi))
             for chi in chis
@@ -632,10 +623,9 @@ class SiltingContext:
 
     def in_heart(self, X):
         """Is H^0 torsion, H^{-1} torsion-free, everything else zero?"""
-        mc = X if isinstance(X, cx.ModuleComplex) else X.module_form()[0]
-        degs = set(mc.terms) | {d + 1 for d in mc.terms}
+        degs = set(X.terms) | {d + 1 for d in X.terms}
         for d in degs:
-            H = mc.cohomology(d)
+            H = X.cohomology(d)
             if d == 0:
                 if not self.torsion_A.in_torsion(H):
                     return False
@@ -783,9 +773,8 @@ def _approximation_map(X, summands, gens, side):
     parts = [summands[i] for i, _ in gens]
     S = cx.proj_complex_direct_sum(parts) if parts else \
         cx.ProjComplex(X.A, {}, {})
-    mcS, _ = S.module_form()
     maps = {}
-    for d in set(X.terms) & set(mcS.terms):
+    for d in set(X.terms) & set(S.terms):
         mats = [
             np.concatenate(
                 [g.map_at(d).mats[c] for _, g in gens], axis=1 if left else 0
@@ -793,10 +782,10 @@ def _approximation_map(X, summands, gens, side):
             for c in range(X.A.nclasses)
         ]
         if left:
-            maps[d] = mod.ModuleMap(X.term(d), mcS.term(d), mats)
+            maps[d] = mod.ModuleMap(X.term(d), S.term(d), mats)
         else:
-            maps[d] = mod.ModuleMap(mcS.term(d), X.term(d), mats)
-    u = cx.ChainMap(X, mcS, maps) if left else cx.ChainMap(mcS, X, maps)
+            maps[d] = mod.ModuleMap(S.term(d), X.term(d), mats)
+    u = cx.ChainMap(X, S, maps) if left else cx.ChainMap(S, X, maps)
     return S, u
 
 
@@ -813,13 +802,11 @@ def bongartz_complete(P, rng=None):
     Pb, summands = basic_part(P, rng)
     if not summands:
         raise PreconditionError("zero complex cannot be completed")
-    mq = [s.module_form()[0] for s in summands]
     # right add(P)-approximation of A[1], from minimal generators of
     # Hom(P_i, A[1]) over the endomorphism algebra of P
-    stalkA = cx.stalk_proj_complex(A, list(range(A.nclasses)))
-    mcA1 = stalkA.module_form()[0].shift(1)
-    gens = minimal_approximation(EndP(mq), mcA1, "right")
-    _, g = _approximation_map(mcA1, summands, gens, "right")
+    A1 = cx.stalk_proj_complex(A, list(range(A.nclasses))).shift(1)
+    gens = minimal_approximation(EndP(summands), A1, "right")
+    _, g = _approximation_map(A1, summands, gens, "right")
     Cmc, _, _ = cx.mapping_cone(g.shift(-1))
     E_pc = cx.proj_complex_from_module_complex(Cmc)
     total = cx.proj_complex_direct_sum([Pb, E_pc])
@@ -1072,15 +1059,15 @@ def verify_theorem(ctx, battery=None, battery_b=None, max_dim=30, cap=60,
     # cohomology dimension identities for Hom out of P
     ok = True
     tested = 0
-    probes = [cx.stalk_complex(X) for X in battery] + [ctx.mcP, ctx.mcC]
+    probes = [cx.stalk_complex(X) for X in battery] + [ctx.P, ctx.mcC]
     for Xmc in probes:
         for i in (0, 1):
-            lhs = cx.hom_complexes(ctx.mcP, Xmc, i).dim
+            lhs = cx.hom_complexes(ctx.P, Xmc, i).dim
             h_prev = Xmc.cohomology(i - 1)
             h_cur = Xmc.cohomology(i)
             rhs = (
-                cx.hom_complexes(ctx.mcP, cx.stalk_complex(h_prev), 1).dim
-                + cx.hom_complexes(ctx.mcP, cx.stalk_complex(h_cur), 0).dim
+                cx.hom_complexes(ctx.P, cx.stalk_complex(h_prev), 1).dim
+                + cx.hom_complexes(ctx.P, cx.stalk_complex(h_cur), 0).dim
             )
             tested += 1
             if lhs != rhs:
@@ -1091,7 +1078,7 @@ def verify_theorem(ctx, battery=None, battery_b=None, max_dim=30, cap=60,
 
     ok = True
     for X in battery:
-        lhs = cx.hom_complexes(ctx.mcP, cx.stalk_complex(X), 0).dim
+        lhs = cx.hom_complexes(ctx.P, cx.stalk_complex(X), 0).dim
         if lhs != mod.hom_dim(tpA.h0, X):
             ok = False
     checks.append(_entry(
@@ -1258,8 +1245,8 @@ def verify_theorem(ctx, battery=None, battery_b=None, max_dim=30, cap=60,
     # cohomology criterion must agree with that Hom-vanishing criterion
     by_parts = ctx.in_heart(ctx.P)
     by_hom = (
-        cx.hom_complexes(ctx.mcP, ctx.mcP, 1).dim == 0
-        and cx.hom_complexes(ctx.mcP, ctx.mcP, -1).dim == 0
+        cx.hom_complexes(ctx.P, ctx.P, 1).dim == 0
+        and cx.hom_complexes(ctx.P, ctx.P, -1).dim == 0
     )
     checks.append(_entry(
         "heart-membership", "pass" if by_parts == by_hom else "fail",

@@ -55,7 +55,7 @@ def test_nakayama_fixture_triangle_and_strict_commuting_endo(paper_ctx):
     assert silting.is_silting(ctx.P)[0]
     assert ctx.B.dim == 6
     # the approximation triangle: P' = P1 + P1 and P'' = (P2 -> P1)
-    assert ctx.Pp.terms == {0: [0, 0]}
+    assert ctx.Pp.classes == {0: [0, 0]}
     e = F.zeros((1, 1, A.dim))
     e[0, 0] = alg_mod.element_from_paths(A, [(1, ["alpha"])])
     want = cx.two_term_complex(A, [1], [0], e)
@@ -66,9 +66,9 @@ def test_nakayama_fixture_triangle_and_strict_commuting_endo(paper_ctx):
     zero = F.zeros((A.dim,))
     ents = [[zero, zero], [zero, ba]]
     # P' has no degree -1 term, so the cone's degree -1 term is A, laid
-    # out by the projectives P1, P2 of the cone's module form
-    ps = ctx.cone.module_form()[1][-1]
-    assert -1 not in ctx.Pp.terms and ps.classes == [0, 1]
+    # out by the projectives P1, P2 of the cone's term
+    ps = ctx.cone.term(-1).psum
+    assert -1 not in ctx.Pp.classes and ps.classes == [0, 1]
     assert all(
         np.array_equal(x, y)
         for x, y in zip(ps.module.act, ctx.mcC.term(-1).act)
@@ -76,10 +76,10 @@ def test_nakayama_fixture_triangle_and_strict_commuting_endo(paper_ctx):
     m = ps.map_from_entries(ps, ents)
     c = cx.ChainMap(ctx.mcC, ctx.mcC, {-1: m})
     assert c.check()
-    assert cx.HomSpace(ctx.mcPp, ctx.mcC).is_nullhomotopic(
+    assert cx.HomSpace(ctx.Pp, ctx.mcC).is_nullhomotopic(
         ctx.f.compose(c)
     )
-    assert cx.HomSpace(ctx.mcC, ctx.mcA.shift(1)).is_nullhomotopic(
+    assert cx.HomSpace(ctx.mcC, ctx.stalkA.shift(1)).is_nullhomotopic(
         c.compose(ctx.g)
     )
     # ... yet the induced endomorphism of the induced complex is not
@@ -152,8 +152,8 @@ def test_trivial_complex_laws_on_all_fixture_algebras():
         # P = stalk of the regular module
         ctx = silting.SiltingContext(cx.stalk_proj_complex(A, allc))
         _assert_endo_matches_regular(A, ctx)
-        assert set(ctx.Q.terms) == {-1}
-        assert sorted(ctx.Q.terms[-1]) == list(range(ctx.B.nclasses))
+        assert set(ctx.Q.classes) == {-1}
+        assert sorted(ctx.Q.classes[-1]) == list(range(ctx.B.nclasses))
         assert ctx.phi_kernel.shape[0] == 0
         assert ctx.EndQ.dim == A.dim
         battery, _ = silting.module_battery(A, ctx.torsion_A)
@@ -163,8 +163,8 @@ def test_trivial_complex_laws_on_all_fixture_algebras():
         ctx1 = silting.SiltingContext(
             cx.stalk_proj_complex(A, allc).shift(1)
         )
-        assert set(ctx1.Q.terms) == {0}
-        assert sorted(ctx1.Q.terms[0]) == list(range(ctx1.B.nclasses))
+        assert set(ctx1.Q.classes) == {0}
+        assert sorted(ctx1.Q.classes[0]) == list(range(ctx1.B.nclasses))
         battery, _ = silting.module_battery(A, ctx1.torsion_A)
         assert all(ctx1.torsion_A.in_free(X) for X in battery)
         assert not any(ctx1.torsion_A.in_torsion(X) for X in battery)

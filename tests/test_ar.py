@@ -14,6 +14,21 @@ def two_term(A, label, src_cls, tgt_cls):
     return cx.two_term_complex(A, [src_cls], [tgt_cls], e)
 
 
+def _battery(ctx):
+    """(battery, certified) over A, as `silt ar` builds it."""
+    return silting.module_battery(ctx.A, ctx.torsion_A)
+
+
+def _split_ar_report(ctx):
+    """split_ar_report with both batteries and the splitting entry built
+    as `silt ar` builds them."""
+    battery, cert = _battery(ctx)
+    battery_b, _ = silting.module_battery(ctx.B, ctx.torsion_B)
+    return ar.split_ar_report(
+        ctx, battery, battery_b, ar.splitting_check(ctx, battery, cert)
+    )
+
+
 @pytest.fixture(scope="module")
 def a2_ctx(a2_algebra):
     A = a2_algebra
@@ -95,9 +110,10 @@ def test_hereditary_certificate(a2_algebra, a3_algebra, paper_algebra):
 
 
 def test_splitting_check(a2_ctx, a3_ctx, paper_ctx):
-    assert ar.splitting_check(a2_ctx)["status"] == "certified"
-    assert ar.splitting_check(a3_ctx)["status"] == "certified"
-    entry = ar.splitting_check(paper_ctx)
+    for ctx in (a2_ctx, a3_ctx):
+        assert ar.splitting_check(ctx, *_battery(ctx))["status"] == \
+            "certified"
+    entry = ar.splitting_check(paper_ctx, *_battery(paper_ctx))
     # Ext^2(S1, S2) = 1 with S1 torsion and S2 torsion-free, so the
     # Nakayama fixture is certifiably non-splitting
     assert entry["status"] == "certified"
@@ -105,21 +121,21 @@ def test_splitting_check(a2_ctx, a3_ctx, paper_ctx):
 
 
 def test_separating_check(a2_ctx, a3_ctx):
-    e2 = ar.separating_check(a2_ctx)
+    e2 = ar.separating_check(a2_ctx, *_battery(a2_ctx))
     assert e2["dims"]["verdict"].startswith("SEPARATING")
-    e3 = ar.separating_check(a3_ctx)
+    e3 = ar.separating_check(a3_ctx, *_battery(a3_ctx))
     assert e3["dims"]["verdict"] == "NOT-SEPARATING"
     assert "witness" in e3
 
 
 def test_separating_stalk_regular(a2_algebra):
     ctx = silting.SiltingContext(cx.stalk_proj_complex(a2_algebra, [0, 1]))
-    e = ar.separating_check(ctx)
+    e = ar.separating_check(ctx, *_battery(ctx))
     assert e["dims"]["verdict"].startswith("SEPARATING")
 
 
 def test_split_ar_report_a2(a2_ctx):
-    entries = ar.split_ar_report(a2_ctx)
+    entries = _split_ar_report(a2_ctx)
     by_name = {e["name"]: e for e in entries}
     assert by_name["splitting"]["status"] == "certified"
     # the single A-side AR sequence straddles the classes: none mapped
@@ -134,7 +150,7 @@ def test_split_ar_report_a2(a2_ctx):
 
 
 def test_split_ar_report_a3(a3_ctx):
-    entries = ar.split_ar_report(a3_ctx)
+    entries = _split_ar_report(a3_ctx)
     by_name = {e["name"]: e for e in entries}
     assert by_name["transported-ar-sequences"]["status"] == "pass"
     assert by_name["ar-trichotomy"]["status"] == "pass"
@@ -142,7 +158,7 @@ def test_split_ar_report_a3(a3_ctx):
 
 def test_split_ar_report_stalk_regular(a2_algebra):
     ctx = silting.SiltingContext(cx.stalk_proj_complex(a2_algebra, [0, 1]))
-    entries = ar.split_ar_report(ctx)
+    entries = _split_ar_report(ctx)
     by_name = {e["name"]: e for e in entries}
     assert by_name["transported-ar-sequences"]["status"] == "pass"
     # mod B is a copy of mod A: its AR sequence lives on the torsion side
@@ -151,4 +167,4 @@ def test_split_ar_report_stalk_regular(a2_algebra):
 
 def test_split_ar_report_precondition(paper_ctx):
     with pytest.raises(silting.PreconditionError):
-        ar.split_ar_report(paper_ctx)
+        _split_ar_report(paper_ctx)

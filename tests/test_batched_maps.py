@@ -225,7 +225,7 @@ def _ref_approximation_spans(ctx, u, side):
     homotopies, then one ChainMap composition with u per chain map."""
     left = side == "left"
     out = []
-    for T in ([ctx.mcP] if left else ctx.mq):
+    for T in ([ctx.P] if left else ctx.summands):
         V = cx.HomSpace(u.src, T) if left else cx.HomSpace(T, u.tgt)
         if V.nflat == 0:
             continue

@@ -68,7 +68,7 @@ def test_cone_is_minimized_on_first_read_of_Ppp(case):
     _, ctx, _, _ = case
     assert "Ppp" not in vars(ctx)
     assert ctx.Ppp is ctx.Ppp
-    assert ctx.Ppp.terms == cx.minimize(ctx.cone).terms
+    assert ctx.Ppp.classes == cx.minimize(ctx.cone).classes
 
 
 def test_hom_P_of_is_memoized_and_equals_a_fresh_build(case):

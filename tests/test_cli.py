@@ -69,14 +69,14 @@ def test_parse_complex_paper_fixture():
     A = cli.parse_algebra(read("paper_nakayama2.alg"))
     name, P = cli.parse_complex(read("paper_nakayama2.cpx"), A)
     assert name == "paper_nakayama2"
-    assert P.terms == {-1: [1], 0: [0, 0]}
+    assert P.classes == {-1: [1], 0: [0, 0]}
     assert P.check()
 
 
 def test_parse_complex_stalk_without_differential():
     A = cli.parse_algebra(read("a2_tilt.alg"))
     _, P = cli.parse_complex("complex s\nsummand\ndeg 0 P2^2\n", A)
-    assert P.terms == {0: [1, 1]}
+    assert P.classes == {0: [1, 1]}
 
 
 def test_parse_complex_errors():

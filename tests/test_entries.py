@@ -13,14 +13,19 @@ element to the corners e_k A e_j, and `mapping_cone` writes its
 differential and structure maps as blocks.
 
 The earlier bodies are kept here as references: an `el_mult` per entry
-and summand, `in_span` per entry, one `act_total` per entry, the Nakayama
-functor one entry at a time through the inclusions and projections of a
-direct sum, and the cone composed through them.  They are compared on
-every complex and chain map that `minimize`, `nu_complex` and
-`mapping_cone` receive while P is checked, its context and both
+and summand, `in_span` per entry, one total-space action matrix per entry
+(`_ref_act_total` of test_modules.py, the removed `Module.act_total`),
+the Nakayama functor one entry at a time through the inclusions and
+projections of a direct sum, the cone composed through them, and the
+removed `ProjComplex.module_form`, a separate module complex that a
+ProjComplex now is itself, its terms built on first read.  They are
+compared on every complex and chain map that `minimize`, `nu_complex`
+and `mapping_cone` receive while P is checked, its context and both
 batteries are built, the theorem is verified and P is completed, on the
 three fixtures and linear A4 over GF(32003) and Q, and on random entries
-arrays, zero-size shapes included.
+arrays and complexes, zero-size shapes included.  The random complexes
+also check `TorsionPair._ker_dx` and `radical_vectors` / `socle_vectors`
+against the references of test_torsion.py and test_modules.py.
 """
 
 import functools
@@ -39,6 +44,7 @@ from siltengine import silting
 
 from conftest import make_a3_algebra, make_paper_algebra
 from test_coordinates import NAMES, _input
+from test_modules import _ref_act_total, _same_radical_and_socle
 
 
 # ---- references ------------------------------------------------------------
@@ -77,8 +83,8 @@ def _ref_is_minimal(X):
 
 
 def _ref_check(X):
-    for d in X.degrees():
-        if (d + 2) in X.terms or (d + 1) in X.terms:
+    for d in sorted(X.classes):
+        if (d + 2) in X.classes or (d + 1) in X.classes:
             sq = _ref_entry_compose(X.A, X.diff(d), X.diff(d + 1))
             if np.any(sq != 0):
                 return False
@@ -89,7 +95,7 @@ def _ref_minimize(X):
     """minimize with its elimination step written entry by entry."""
     A = X.A
     F = A.field
-    terms = {d: list(c) for d, c in X.terms.items()}
+    terms = {d: list(c) for d, c in X.classes.items()}
     diffs = {d: np.array(X.diff(d), copy=True) for d in X.diffs}
 
     def get_diff(d):
@@ -177,14 +183,14 @@ def _ref_minimize(X):
 
 
 def _ref_map_from_entries(ps, other, entries):
-    """map_from_entries with one act_total per entry: generator images,
+    """map_from_entries with one `_ref_act_total` per entry: generator images,
     then `map_to`."""
     F = ps.A.field
     gen_images = []
     for j in range(len(ps.classes)):
         v = F.zeros((other.module.total,))
         for k in range(len(other.classes)):
-            op = other.module.act_total(entries[j][k])
+            op = _ref_act_total(other.module, entries[j][k])
             gen = other.incls[k].apply(other.summands[k].gen)
             v = F.reduce(v + F.matmul(gen.reshape(1, -1), op)[0])
         gen_images.append(v)
@@ -209,7 +215,7 @@ def _ref_nu_complex(X):
     Aop = mod.opposite_algebra(A)
     terms = {}
     metas = {}
-    for d, classes in X.terms.items():
+    for d, classes in X.classes.items():
         injs = [mod.injective_module(A, c) for c in classes]
         S, incls, projs = mod.direct_sum(injs)
         terms[d] = S
@@ -273,6 +279,19 @@ def _ref_mapping_cone(f):
     return C, cx.ChainMap(Y, C, imaps), cx.ChainMap(C, X1, pmaps)
 
 
+def _ref_module_form(X):
+    """The removed `ProjComplex.module_form`: a separate ModuleComplex of
+    the `proj_sum` modules and `map_from_entries` of the entries, with its
+    ProjSums."""
+    psums = {d: mod.proj_sum(X.A, cl) for d, cl in X.classes.items()}
+    terms = {d: ps.module for d, ps in psums.items()}
+    dmaps = {
+        d: psums[d].map_from_entries(psums[d + 1], X.diff(d))
+        for d in X.diffs
+    }
+    return cx.ModuleComplex(X.A, terms, dmaps), psums
+
+
 def _ref_left_mult_map(ctx, avec):
     """left_mult_map with two el_mults per pair of idempotents."""
     A = ctx.A
@@ -321,15 +340,26 @@ def _same_chain_map(f, g):
 
 
 def _same_proj_complex(X, Y):
-    assert X.terms == Y.terms
+    assert X.classes == Y.classes
     assert sorted(X.diffs) == sorted(Y.diffs)
     for d in X.diffs:
         _same(X.diffs[d], Y.diffs[d])
 
 
+def _same_as_module_form(X):
+    """X read as a module complex is its earlier module form, term for
+    term the same ProjSum modules, and so are its shifts."""
+    mc, psums = _ref_module_form(X)
+    _same_complex(X, mc)
+    for d, ps in psums.items():
+        assert X.term(d) is ps.module
+    for n in (-1, 1, 2):
+        _same_complex(X.shift(n), mc.shift(n))
+
+
 def _key(X):
     """Content key of a ProjComplex, to test each distinct one once."""
-    return repr((sorted(X.terms.items()),
+    return repr((sorted(X.classes.items()),
                  [(d, X.diffs[d].shape, X.diffs[d].tolist())
                   for d in sorted(X.diffs)]))
 
@@ -413,6 +443,11 @@ def test_is_minimal_and_entry_compose_equal_references(built):
                       _ref_entry_compose(Y.A, a, b))
 
 
+def test_module_terms_equal_module_form_reference(built):
+    for X in built.minimized + [cx.minimize(X) for X in built.minimized]:
+        _same_as_module_form(X)
+
+
 def test_nu_complex_equals_per_entry_reference(built):
     assert built.nus
     for X in built.nus + built.minimized:
@@ -421,11 +456,10 @@ def test_nu_complex_equals_per_entry_reference(built):
 
 def test_mapping_cone_equals_composed_reference(built):
     """Every cone the engine takes, and the cone of the identity of each
-    module form of a complex minimize receives, whose d_X is not zero."""
+    complex minimize receives, whose d_X is not zero."""
     maps = list(built.cones)
     assert maps
-    maps += [cx.identity_chain_map(X.module_form()[0])
-             for X in built.minimized]
+    maps += [cx.identity_chain_map(X) for X in built.minimized]
     for f in maps:
         got, want = cx.mapping_cone(f), _ref_mapping_cone(f)
         _same_complex(got[0], want[0])
@@ -562,7 +596,7 @@ def _random_complex(A, rng, pieces):
         return cx.ProjComplex(A, {}, {})
     X = cx.proj_complex_direct_sum(parts)
     changes = {}
-    for d, cl in X.terms.items():
+    for d, cl in X.classes.items():
         n = len(cl)
         g, ginv = F.zeros((n, n, A.dim)), F.zeros((n, n, A.dim))
         for i, c in enumerate(cl):
@@ -577,7 +611,7 @@ def _random_complex(A, rng, pieces):
             A, changes[d][1], e), changes[d + 1][0])
         for d, e in X.diffs.items()
     }
-    Y = cx.ProjComplex(A, X.terms, diffs)
+    Y = cx.ProjComplex(A, X.classes, diffs)
     assert _ref_check(Y)
     return Y
 
@@ -605,9 +639,60 @@ def test_minimize_nu_and_is_minimal_on_random_complexes(alg, pieces, seed):
     _same_proj_complex(Xm, _ref_minimize(X))
     assert Xm.is_minimal() is _ref_is_minimal(Xm) is True
     _same_complex(cx.nu_complex(X), _ref_nu_complex(X))
-    mc = X.module_form()[0]
-    got, want = cx.mapping_cone(cx.identity_chain_map(mc)), \
-        _ref_mapping_cone(cx.identity_chain_map(mc))
+    _same_as_module_form(X)
+    got, want = cx.mapping_cone(cx.identity_chain_map(X)), \
+        _ref_mapping_cone(cx.identity_chain_map(X))
     _same_complex(got[0], want[0])
     _same_chain_map(got[1], want[1])
     _same_chain_map(got[2], want[2])
+
+
+@functools.lru_cache(maxsize=None)
+def _battery(name, field):
+    return silting.module_battery(_algebra(name, field), None)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(alg=ALGEBRAS, pieces=PIECES, seed=st.integers(0, 2 ** 16))
+@example(alg=("paper", "Q"), seed=0,
+         pieces=[("radical", -1, 1, 0), ("stalk", 0, 0, 0)])
+def test_module_terms_built_on_first_read(alg, pieces, seed):
+    """The entry-level work on a ProjComplex builds no module term; the
+    first read builds them once, as the earlier module form did."""
+    A = _algebra(*alg)
+    X = _random_complex(A, random.Random(seed), pieces)
+    X.check()
+    X.is_minimal()
+    for Y in (X, cx.minimize(X), X.shift(1),
+              cx.proj_complex_direct_sum([X, X])):
+        assert "terms" not in vars(Y) and "dmaps" not in vars(Y)
+    cx.nu_complex(X)
+    assert "terms" not in vars(X) and "dmaps" not in vars(X)
+    _same_as_module_form(X)
+    assert X.terms is X.terms and X.dmaps is X.dmaps
+
+
+@settings(max_examples=30, deadline=None)
+@given(alg=ALGEBRAS, pieces=PIECES, seed=st.integers(0, 2 ** 16))
+@example(alg=("a3", "32003"), seed=0, pieces=[("stalk", 0, 1, 0)])
+@example(alg=("paper", "Q"), seed=0, pieces=[("stalk", -1, 1, 0)])
+def test_ker_dx_on_random_complexes(alg, pieces, seed):
+    """D_X of a random complex, P^0 or P^{-1} missing included, on every
+    battery module and the zero module."""
+    from test_torsion import same_ker_dx
+
+    A = _algebra(*alg)
+    tp = silting.TorsionPair(_random_complex(A, random.Random(seed), pieces))
+    for X in _battery(*alg) + [cx.zero_module(A)]:
+        same_ker_dx(tp, X)
+
+
+@settings(max_examples=30, deadline=None)
+@given(alg=ALGEBRAS, pieces=PIECES, seed=st.integers(0, 2 ** 16))
+def test_radical_and_socle_on_random_complexes(alg, pieces, seed):
+    """radical_vectors and socle_vectors against test_modules.py's per-row
+    references, on the terms and cohomology modules of random complexes."""
+    X = _random_complex(_algebra(*alg), random.Random(seed), pieces)
+    for d in range(-2, 3):
+        _same_radical_and_socle(X.term(d))
+        _same_radical_and_socle(X.cohomology(d))

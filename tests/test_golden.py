@@ -41,8 +41,9 @@ nakayama_4_5-endo.txt, the JSON `theorem` and text `endo` reports on
 N(4,5) (nakayama_4_5.alg, nakayama_4_5.cpx), which the nakayama-4-5-theorem
 CI job compares against (the same job compares `silt complete` of
 nakayama_4_5_seed.cpx, P2 --a1--> P1, with nakayama_4_5.cpx), nor
-tests/golden/linear_a10-theorem.json and linear_a10-endo.txt, the JSON
-`theorem` and text `endo` reports on linear A10 (linear_a10.alg,
+tests/golden/linear_a10-theorem.json, linear_a10-endo.txt,
+linear_a10-ar.txt and linear_a10-check.txt, the JSON `theorem` and text
+`endo`, `ar` and `check` reports on linear A10 (linear_a10.alg,
 linear_a10.cpx, the `silt complete` of P2 --x1--> P1), which the
 linear-a10-theorem CI job compares against.
 """

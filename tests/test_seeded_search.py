@@ -52,14 +52,12 @@ def _ref_modules_isomorphic(M, N, rng):
 
 def _ref_complexes_isomorphic(X, Y, rng):
     Xm, Ym = cx.minimize(X), cx.minimize(Y)
-    if sorted(Xm.terms) != sorted(Ym.terms):
-        return (Xm.terms == {} and Ym.terms == {}) or None
-    for d in Xm.terms:
-        if sorted(Xm.terms[d]) != sorted(Ym.terms[d]):
+    if sorted(Xm.classes) != sorted(Ym.classes):
+        return (Xm.classes == {} and Ym.classes == {}) or None
+    for d in Xm.classes:
+        if sorted(Xm.classes[d]) != sorted(Ym.classes[d]):
             return None
-    mx, _ = Xm.module_form()
-    my, _ = Ym.module_form()
-    hs = cx.HomSpace(mx, my)
+    hs = cx.HomSpace(Xm, Ym)
     F = X.field
     for i in range(hs.chain_basis.shape[0]):
         f = hs.map_from_flat(hs.chain_basis[i])

@@ -152,13 +152,13 @@ def _total_endo_of_rep(ctx, rep):
     # regular summands of a stalk-complex context are single projectives;
     # locate their rows inside the full regular module
     si = ctx.summands.index(
-        next(s for s in ctx.summands if s.module_form()[0] is rep.src)
+        next(s for s in ctx.summands if s is rep.src)
     )
     ti = ctx.summands.index(
-        next(s for s in ctx.summands if s.module_form()[0] is rep.tgt)
+        next(s for s in ctx.summands if s is rep.tgt)
     )
-    sc = ctx.summands[si].terms[0][0]
-    tc = ctx.summands[ti].terms[0][0]
+    sc = ctx.summands[si].classes[0][0]
+    tc = ctx.summands[ti].classes[0][0]
     so = [0] * A.nclasses
     to = [0] * A.nclasses
     for k in range(sc):
@@ -182,19 +182,19 @@ def _total_endo_of_rep(ctx, rep):
 def test_paper_triangle_shapes(paper_ctx):
     # the approximation term is two copies of the first projective and
     # the cone minimizes to the length-two summand
-    assert paper_ctx.Pp.terms == {0: [0, 0]}
-    assert paper_ctx.Ppp.terms == {-1: [1], 0: [0]}
+    assert paper_ctx.Pp.classes == {0: [0, 0]}
+    assert paper_ctx.Ppp.classes == {-1: [1], 0: [0]}
 
 
 def test_a2_triangle_shapes(a2_ctx):
-    assert a2_ctx.Pp.terms == {0: [0, 0]}
-    assert a2_ctx.Ppp.terms == {-1: [1], 0: [0]}
+    assert a2_ctx.Pp.classes == {0: [0, 0]}
+    assert a2_ctx.Ppp.classes == {-1: [1], 0: [0]}
 
 
 def test_stalk_regular_triangle_trivial(a2_algebra):
     ctx = silting.SiltingContext(cx.stalk_proj_complex(a2_algebra, [0, 1]))
-    assert ctx.Pp.terms == {0: [0, 1]}
-    assert ctx.Ppp.terms == {}
+    assert ctx.Pp.classes == {0: [0, 1]}
+    assert ctx.Ppp.classes == {}
     assert ctx.e.map_at(0).is_isomorphism()
 
 
@@ -207,15 +207,15 @@ def test_q_is_silting_with_full_class_count(a2_ctx, paper_ctx, a3_ctx):
 
 def test_stalk_regular_gives_shifted_regular_q(a2_algebra):
     ctx = silting.SiltingContext(cx.stalk_proj_complex(a2_algebra, [0, 1]))
-    assert set(ctx.Q.terms) == {-1}
-    assert sorted(ctx.Q.terms[-1]) == list(range(ctx.B.nclasses))
+    assert set(ctx.Q.classes) == {-1}
+    assert sorted(ctx.Q.classes[-1]) == list(range(ctx.B.nclasses))
 
 
 def test_shifted_regular_gives_stalk_q(a2_algebra):
     P = cx.stalk_proj_complex(a2_algebra, [0, 1]).shift(1)
     ctx = silting.SiltingContext(P)
-    assert set(ctx.Q.terms) == {0}
-    assert sorted(ctx.Q.terms[0]) == list(range(ctx.B.nclasses))
+    assert set(ctx.Q.classes) == {0}
+    assert sorted(ctx.Q.classes[0]) == list(range(ctx.B.nclasses))
 
 
 # ---- phi -------------------------------------------------------------------

@@ -60,20 +60,19 @@ def _same_module(got, want):
 
 def ref_copy_inclusions(parts, total):
     """Chain maps including each listed summand complex into their sum."""
-    starts = {d: 0 for d in total.terms}
-    mcS, psS = total.module_form()
+    starts = {d: 0 for d in total.classes}
     incls = []
     for p in parts:
-        mcp, psp = p.module_form()
         maps = {}
-        for d, cls in p.terms.items():
+        for d, cls in p.classes.items():
             s = starts[d]
-            m = mod.zero_map(mcp.term(d), mcS.term(d))
+            m = mod.zero_map(p.term(d), total.term(d))
             for k in range(len(cls)):
-                m = m.add(psp[d].projs[k].compose(psS[d].incls[s + k]))
+                m = m.add(p.term(d).psum.projs[k].compose(
+                    total.term(d).psum.incls[s + k]))
             maps[d] = m
             starts[d] = s + len(cls)
-        incls.append(cx.ChainMap(mcp, mcS, maps))
+        incls.append(cx.ChainMap(p, total, maps))
     return incls
 
 
@@ -89,10 +88,7 @@ def ref_copy_projection(incl):
 def ref_left_approximation(ctx):
     """(P', e): the per-class generators summed through copy inclusions."""
     A = ctx.A
-    sts = [
-        cx.stalk_proj_complex(A, [c]).module_form()[0]
-        for c in range(A.nclasses)
-    ]
+    sts = [cx.stalk_proj_complex(A, [c]) for c in range(A.nclasses)]
     gens = [
         (c, i, m)
         for c in range(A.nclasses)
@@ -100,16 +96,15 @@ def ref_left_approximation(ctx):
     ]
     parts = [ctx.summands[i] for (_, i, _) in gens]
     Pp = cx.proj_complex_direct_sum(parts)
-    mcPp, _ = Pp.module_form()
     incls = ref_copy_inclusions(parts, Pp)
-    m0 = mod.zero_map(ctx.mcA.term(0), mcPp.term(0))
+    m0 = mod.zero_map(ctx.stalkA.term(0), Pp.term(0))
     for k, (c, _, gmap) in enumerate(gens):
         m0 = m0.add(
             ctx.psA0.projs[c]
             .compose(gmap.map_at(0))
             .compose(incls[k].map_at(0))
         )
-    return Pp, cx.ChainMap(ctx.mcA, mcPp, {0: m0})
+    return Pp, cx.ChainMap(ctx.stalkA, Pp, {0: m0})
 
 
 def ref_right_approximation(ctx, X):
@@ -126,12 +121,11 @@ def ref_right_approximation(ctx, X):
 
 
 def ref_cone(ctx):
-    """(cone, mcC, f, g): the cone of ctx.e with rows P'^{-1} then A."""
+    """(cone, f, g): the cone of ctx.e with rows P'^{-1} then A."""
     A = ctx.A
     F = ctx.field
-    _, psPp = ctx.Pp.module_form()
-    p1 = list(ctx.Pp.terms.get(-1, []))
-    p0 = list(ctx.Pp.terms.get(0, []))
+    p1 = list(ctx.Pp.classes.get(-1, []))
+    p0 = list(ctx.Pp.classes.get(0, []))
     acl = list(range(A.nclasses))
     cone_terms = {-1: p1 + acl}
     cone_diffs = {}
@@ -141,30 +135,30 @@ def ref_cone(ctx):
         if p1:
             entries[: len(p1)] = F.reduce(-ctx.Pp.diff(-1))
         entries[len(p1):] = ctx.psA0.entry_matrix_to(
-            psPp[0], ctx.e.map_at(0)
+            ctx.Pp.term(0).psum, ctx.e.map_at(0)
         )
         cone_diffs[-1] = entries
     cone = cx.ProjComplex(A, cone_terms, cone_diffs)
-    mcC, psC = cone.module_form()
+    psC = cone.term(-1).psum
     neg = linalg.neg_one(F)
     fmaps = {}
     if p1:
-        m = mod.zero_map(ctx.mcPp.term(-1), mcC.term(-1))
+        m = mod.zero_map(ctx.Pp.term(-1), cone.term(-1))
         for k in range(len(p1)):
-            m = m.add(psPp[-1].projs[k].compose(psC[-1].incls[k]))
+            m = m.add(ctx.Pp.term(-1).psum.projs[k].compose(psC.incls[k]))
         fmaps[-1] = m.scale(neg)
     if p0:
         fmaps[0] = mod.ModuleMap(
-            ctx.mcPp.term(0), mcC.term(0),
-            [F.eye(d) for d in ctx.mcPp.term(0).dims],
+            ctx.Pp.term(0), cone.term(0),
+            [F.eye(d) for d in ctx.Pp.term(0).dims],
         )
-    f = cx.ChainMap(ctx.mcPp, mcC, fmaps)
-    mcA1 = ctx.mcA.shift(1)
-    m = mod.zero_map(mcC.term(-1), mcA1.term(-1))
+    f = cx.ChainMap(ctx.Pp, cone, fmaps)
+    A1 = ctx.stalkA.shift(1)
+    m = mod.zero_map(cone.term(-1), A1.term(-1))
     for c in range(A.nclasses):
-        m = m.add(psC[-1].projs[len(p1) + c].compose(ctx.psA0.incls[c]))
-    g = cx.ChainMap(mcC, mcA1, {-1: m.scale(neg)})
-    return cone, mcC, f, g
+        m = m.add(psC.projs[len(p1) + c].compose(ctx.psA0.incls[c]))
+    g = cx.ChainMap(cone, A1, {-1: m.scale(neg)})
+    return cone, f, g
 
 
 def ref_index_regular(ctx):
@@ -230,7 +224,7 @@ def ref_stalk_in_add_p(ctx, i, shift, rng):
 def test_left_approximation_matches_reference(case):
     ctx = _context(*case)
     Pp, e = ref_left_approximation(ctx)
-    assert ctx.Pp.terms == Pp.terms
+    assert ctx.Pp.classes == Pp.classes
     for d in Pp.diffs:
         assert np.array_equal(ctx.Pp.diff(d), Pp.diff(d))
     _same_chain_map(ctx.e, e)
@@ -239,12 +233,12 @@ def test_left_approximation_matches_reference(case):
 @pytest.mark.parametrize("case", CASES, ids=_ids)
 def test_right_approximation_matches_reference(case):
     ctx = _context(*case)
-    X = ctx.mcA.shift(1)
+    X = ctx.stalkA.shift(1)
     gens, g0 = ref_right_approximation(ctx, X)
     S, g = silting._approximation_map(X, ctx.summands, gens, "right")
-    assert S.terms == cx.proj_complex_direct_sum(
+    assert S.classes == cx.proj_complex_direct_sum(
         [ctx.summands[i] for i, _ in gens]
-    ).terms
+    ).classes
     assert g.check()
     _same_chain_map(g, g0)
 
@@ -252,16 +246,16 @@ def test_right_approximation_matches_reference(case):
 @pytest.mark.parametrize("case", CASES, ids=_ids)
 def test_cone_matches_reference(case):
     ctx = _context(*case)
-    cone, mcC, f, g = ref_cone(ctx)
-    assert sorted(ctx.mcC.terms) == sorted(mcC.terms)
-    for d in mcC.terms:
-        _same_module(ctx.mcC.term(d), mcC.term(d))
-        _same_map(ctx.mcC.dmap(d), mcC.dmap(d))
+    cone, f, g = ref_cone(ctx)
+    assert sorted(ctx.mcC.terms) == sorted(cone.terms)
+    for d in cone.terms:
+        _same_module(ctx.mcC.term(d), cone.term(d))
+        _same_map(ctx.mcC.dmap(d), cone.dmap(d))
     _same_chain_map(ctx.f, f)
     _same_chain_map(ctx.g, g)
     # the projective form of the cone holds the same classes
-    assert {d: sorted(c) for d, c in ctx.cone.terms.items()} == {
-        d: sorted(c) for d, c in cone.terms.items()
+    assert {d: sorted(c) for d, c in ctx.cone.classes.items()} == {
+        d: sorted(c) for d, c in cone.classes.items()
     }
     assert cx.complexes_isomorphic(ctx.cone, cone)
 

@@ -98,9 +98,14 @@ class Algebra:
         self.quiver = quiver
         self.basis_paths = basis_paths
         d = self.dim
-        # rm(x) = x @ rm_table: row j, column (i, k) holds mult[i, j, k]
-        self._rm_table = np.ascontiguousarray(
-            np.swapaxes(mult, 0, 1)).reshape(d, d * d)
+        # lm(x) = x @ tables["lm"]: row i, column (j, k) holds mult[i, j, k];
+        # rm(x) = x @ tables["rm"]: row j, column (i, k) holds mult[i, j, k]
+        self._tables = {
+            "lm": mult.reshape(d, d * d),
+            "rm": np.ascontiguousarray(
+                np.swapaxes(mult, 0, 1)).reshape(d, d * d),
+        }
+        self._table_rows = {}
         self._rad = None
         self._radsq = None
         self._corner_cache = {}
@@ -131,15 +136,24 @@ class Algebra:
         (..., dim, dim), one matrix per element, from one product.
         """
         d = self.dim
-        return self.field.matmul(
-            x.reshape(-1, d), self.mult.reshape(d, d * d)
-        ).reshape(x.shape[:-1] + (d, d))
+        return self._times_table(
+            x.reshape(-1, d), "lm").reshape(x.shape[:-1] + (d, d))
 
     def rm(self, x):
         """Matrix M with (y*x) = y @ M for row vectors y."""
         d = self.dim
-        return self.field.matmul(
-            x.reshape(1, d), self._rm_table).reshape(d, d)
+        return self._times_table(x.reshape(1, d), "rm").reshape(d, d)
+
+    def _times_table(self, x, side):
+        """x @ the lm or rm table.  Over GF(p) it is one dense int64
+        product; over Q the product reads the nonzeros of each table row,
+        found on the first product and kept."""
+        F, table = self.field, self._tables[side]
+        if isinstance(F, linalg.GF):
+            return F.matmul(x, table)
+        if side not in self._table_rows:
+            self._table_rows[side] = F.sparse_rows(table)
+        return F.matmul(x, table, self._table_rows[side])
 
     def corner(self, i, j):
         """Basis indices of e_i A e_j."""
@@ -161,7 +175,7 @@ class Algebra:
         """
         F, d = self.field, self.dim
         flat = self.mult.reshape(d * d, d)
-        lhs = F.matmul(flat, self.mult.reshape(d, d * d)).reshape(d, d * d, d)
+        lhs = self._times_table(flat, "lm").reshape(d, d * d, d)
         return all(
             np.array_equal(lhs[i], F.matmul(flat, self.mult[i]))
             for i in range(d)

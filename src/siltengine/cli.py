@@ -17,6 +17,7 @@ precondition failure, 3 violated internal invariant.
 """
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -552,7 +553,11 @@ def positive_int(text):
     return n
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The `silt` argument parser, built once per process: `main` runs
+    many times in one process under the tests and the benchmark worker,
+    and parse_args leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="silt",
         description="two-term silting complexes and their endomorphism side",

@@ -1,15 +1,22 @@
 """Exact dense linear algebra over a prime field or the rationals.
 
 All matrices are numpy arrays: int64 entries reduced to [0, p) for GF(p),
-Fraction objects for the rationals.  Subspaces are represented by matrices
-whose rows form a basis; canonical form is the reduced row echelon form with
-zero rows dropped, so equal subspaces compare equal entrywise.
+object arrays of exact rationals for Q.  A rational is a Python int when
+it is integral and a Fraction otherwise (never a numpy scalar, whose
+products wrap around in int64): almost every entry the engine builds over
+Q is an integer, and an int multiply-add costs a small fraction of a
+Fraction one.  `array`, `zeros`, `eye`, `inv`, `rand` and `rref` keep
+that form through one normalizer, `_q`; `matmul` does not normalize its
+output, so its entries may be integral Fractions.  Subspaces are
+represented by matrices whose rows form a basis; canonical form is the
+reduced row echelon form with zero rows dropped, so equal subspaces
+compare equal entrywise.
 
 `rref` eliminates on Python rows, not numpy rows: the matrices the
 engine reduces are mostly smaller than 4 x 8, too small for numpy's
 per-call overhead to pay off.  Each pivot row updates only its nonzero
-columns, so zeros cost nothing, which over Q saves most Fraction
-arithmetic.
+columns, so zeros cost nothing, which over Q saves most rational
+arithmetic, and a pivot that is already 1 is not scaled.
 
 Solves factor once and solve many: `solve_matrix` reduces `[a | b]` once
 for every column of b, and `coords_in_basis`, `in_span` and `solve` are
@@ -23,10 +30,12 @@ pivot columns of one reduction.
 
 Products go through `F.matmul`.  Over GF(p) it is a plain int64 `@`
 reduced mod p.  Over Q it skips zeros: each nonzero a[i, k] scales the
-nonzero entries of row k of b, so a product costs one Fraction
-multiply-add per pair of nonzero factors instead of one per term of the
-dense sum, most of which are zero in the sparse structure-constant and
-action matrices the engine multiplies.
+nonzero entries of row k of b, so a product costs one multiply-add per
+pair of nonzero factors instead of one per term of the dense sum, most of
+which are zero in the sparse structure-constant and action matrices the
+engine multiplies.  A caller that multiplies by the same b many times
+(the algebra's structure tables) finds those nonzeros once with
+`RationalField.sparse_rows` and passes them in.
 
 `candidates` is the engine's one seeded search: the rows of a basis, then
 random combinations of them, with every random coefficient drawn there.
@@ -111,7 +120,11 @@ class GF:
 
 
 class RationalField:
-    """Arbitrary-precision rationals via Fraction object arrays."""
+    """Arbitrary-precision rationals via object arrays.
+
+    Each entry is a Python int when it is integral and a Fraction
+    otherwise (see `_q`).
+    """
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -125,62 +138,75 @@ class RationalField:
     def array(self, data):
         a = np.asarray(data)
         out = np.empty(a.shape, dtype=object)
-        flat_out, flat_in = out.reshape(-1), a.reshape(-1)
-        for i in range(flat_in.size):
-            x = flat_in[i]
-            # a Fraction keeps a numpy integer as its numerator, and
-            # products of such Fractions wrap around in int64
-            flat_out[i] = Fraction(int(x) if isinstance(x, np.integer) else x)
+        flat_out = out.reshape(-1)
+        # tolist turns numpy integers into Python ints
+        for i, x in enumerate(a.reshape(-1).tolist()):
+            flat_out[i] = _q(x)
         return out
 
     def zeros(self, shape):
-        out = np.empty(shape, dtype=object)
-        out.fill(_ZERO)
-        return out
+        return np.zeros(shape, dtype=object)
 
     def eye(self, n):
-        out = self.zeros((n, n))
-        for i in range(n):
-            out[i, i] = Fraction(1)
-        return out
+        return np.eye(n, dtype=object)
 
     def reduce(self, arr):
         return arr
 
     def inv(self, a):
-        return Fraction(1) / a
+        a = _q(a)
+        return a if a == 1 or a == -1 else _q(Fraction(1) / a)
 
-    def matmul(self, a, b):
+    def sparse_rows(self, b):
+        """(nonzero columns, their entries) of each row of b, the form in
+        which `matmul` reads its right factor."""
+        return [_sparse_row(row) for row in b]
+
+    def matmul(self, a, b, rows=None):
         """a @ b, one multiply-add per pair of nonzero factors.
 
         For each nonzero a[i, k], a[i, k] * b[k, S_k] is added into
-        out[i, S_k], with S_k the nonzero columns of row k of b, found
-        once per call and only for the rows a touches.  Every entry of
-        the result is a Fraction.
+        out[i, S_k], with S_k the nonzero columns of row k of b.  They are
+        found once per call and only for the rows a touches, unless the
+        caller passes all of them as rows = `sparse_rows(b)`.  The result
+        is not normalized: an entry is an int or a Fraction, which may be
+        integral.
         """
         if a.shape[1] != b.shape[0]:
             raise ValueError("shape mismatch")
         out = self.zeros((a.shape[0], b.shape[1]))
-        # astype(bool) tests each entry with Fraction.__bool__, which is
-        # cheaper than comparing with 0
-        rows, ks = np.nonzero(a.astype(bool))
-        support = {
-            k: np.flatnonzero(b[k].astype(bool)) for k in set(ks.tolist())
-        }
-        for i, k in zip(rows.tolist(), ks.tolist()):
-            s = support[k]
+        ii, ks = np.nonzero(a.astype(bool))
+        ks = ks.tolist()
+        if rows is None:
+            rows = {k: _sparse_row(b[k]) for k in set(ks)}
+        for i, k in zip(ii.tolist(), ks):
+            s, v = rows[k]
             if s.size:
-                out[i, s] += a[i, k] * b[k, s]
+                out[i, s] += a[i, k] * v
         return out
 
     def neg(self, arr):
         return -arr
 
     def rand(self, rng):
-        return Fraction(rng.randrange(-100, 101), rng.randrange(1, 20))
+        return _q(Fraction(rng.randrange(-100, 101), rng.randrange(1, 20)))
 
 
-_ZERO = Fraction(0)
+def _sparse_row(row):
+    # astype(bool) tests each entry with __bool__, which is cheaper than
+    # comparing a Fraction with 0
+    s = np.flatnonzero(row.astype(bool))
+    return s, row[s]
+
+
+def _q(x):
+    """x as an exact rational: a Python int when it is integral, else a
+    Fraction.  A numpy integer becomes a Python int."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(int(x) if isinstance(x, np.integer) else x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def neg_one(F):
@@ -192,13 +218,18 @@ def rref(F, a):
     """Reduced row echelon form.  Returns (R, pivot_columns).
 
     Eliminates on Python rows, touching only the nonzero columns of each
-    pivot row.  Over GF(p) every update is reduced mod p; over Q entries
-    stay Fractions.  R has the dtype of a.
+    pivot row, and scales a pivot row only when its pivot is not 1.  Over
+    GF(p) every update is reduced mod p; over Q every entry is normalized
+    by `_q`, so it is an int exactly when it is integral.  R has the dtype
+    of a.
     """
     a = np.asarray(a)
     nrows, ncols = a.shape
     p = F.p if isinstance(F, GF) else None
-    rows = (a % p if p else a).tolist()
+    if p:
+        rows = (a % p).tolist()
+    else:
+        rows = [[_q(x) for x in row] for row in a.tolist()]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -211,11 +242,12 @@ def rref(F, a):
             continue
         rows[r], rows[k] = rows[k], rows[r]
         prow = rows[r]
-        inv = F.inv(prow[c])
         # entries left of c vanish in every row from r down
         nz = [j for j in range(c, ncols) if prow[j]]
-        for j in nz:
-            prow[j] = prow[j] * inv % p if p else prow[j] * inv
+        if prow[c] != 1:
+            inv = F.inv(prow[c])
+            for j in nz:
+                prow[j] = prow[j] * inv % p if p else _q(prow[j] * inv)
         for i in range(nrows):
             row = rows[i]
             f = row[c]
@@ -226,7 +258,7 @@ def rref(F, a):
                     row[j] = (row[j] - f * prow[j]) % p
             else:
                 for j in nz:
-                    row[j] -= f * prow[j]
+                    row[j] = _q(row[j] - f * prow[j])
         pivots.append(c)
         r += 1
     return np.array(rows, dtype=a.dtype).reshape(nrows, ncols), pivots

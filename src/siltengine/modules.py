@@ -696,10 +696,26 @@ class ProjSum:
         entries = A.field.zeros((len(self.classes), len(other.classes), A.dim))
         for j, c in enumerate(self.classes):
             ks, bs = other._layout(c)
-            r = self.starts[j][c] + \
-                self.summands[j].basis_members[c].index(A.idem[c])
-            entries[j, ks, bs] = A.field.reduce(f.mats[c][r])
+            entries[j, ks, bs] = A.field.reduce(f.mats[c][self._gen_row(j)])
         return entries
+
+    def gen_columns(self, N):
+        """Columns of the flat layout of Hom(self.module, N) that hold the
+        generator images: generator j's image in N e_{c_j}, in order.  A
+        map is zero iff these columns are."""
+        off = _flat_offsets(self.module, N)
+        cols = []
+        for j, c in enumerate(self.classes):
+            start = off[c] + self._gen_row(j) * N.dims[c]
+            cols.extend(range(start, start + N.dims[c]))
+        return cols
+
+    def _gen_row(self, j):
+        """Row of generator j (the idempotent e_{c_j} of summand j) in the
+        class-c_j block of the sum."""
+        c = self.classes[j]
+        return self.starts[j][c] + \
+            self.summands[j].basis_members[c].index(self.A.idem[c])
 
     def map_from_entries(self, other, entries):
         """ModuleMap self.module -> other.module, gen_j -> sum gen_k*a_jk,

@@ -109,21 +109,21 @@ class TorsionPair:
         Rows of D_X are the generator-image basis of Hom(P^0, X) that
         `ProjSum.hom_to` writes down without a solve, each composed with
         d in one `modules.compose_flats`, as the Ext deltas are.  A map
-        out of P^{-1} is zero iff its generator images are, so its flat
-        layout has the same kernel as one read on generators.
+        out of P^{-1} is zero iff its generator images are, so D_X keeps
+        only the generator columns of the composite's flat layout.
         """
         key = ("d", id(X))
         if key not in self._cache:
             F = self.field
             classes = self.P.classes
             ps0 = mod.proj_sum(self.A, classes.get(0, []))
+            ps1 = mod.proj_sum(self.A, classes.get(-1, []))
             dx = mod.compose_flats(
                 ps0.hom_to(X), ps0.module, X, left=self.P.dmap(-1)
-            )
+            )[:, ps1.gen_columns(X)]
             ker = linalg.kernel(F, dx.T)
             rank = dx.shape[0] - ker.shape[0]
-            n1 = sum(X.dims[c] for c in classes.get(-1, []))
-            self._cache[key] = (X, ker, n1 - rank)
+            self._cache[key] = (X, ker, dx.shape[1] - rank)
         return self._cache[key][1:]
 
     def hom_dims(self, X):

@@ -4,8 +4,11 @@ The snapshots in tests/golden/ pin the reports an engine change must not
 move.  Besides the bundled fixtures they cover linear A4 (1 -> 2 -> 3 -> 4
 over GF(32003)), whose battery and `ar` reach Ext on more than three
 vertices, and whose `theorem` checks the comparison theorem on four
-vertices; its `ar` and `theorem` are also pinned over Q, the only cases
-that run the Fraction path on more than three vertices.  Its algebra file is written from the ladder recipe at run time;
+vertices; its `ar`, `theorem`, `endo` and `complete` are also pinned over
+Q, the only cases that run the rational path on more than three vertices.
+Over Q, `endo` and `complete` are pinned on a3_silt and paper_nakayama2 as
+well: they print the rational coefficients of B, Q and the completion.
+Its algebra file is written from the ladder recipe at run time;
 its complex, tests/golden/linear_a4.cpx, is `silt complete` of the seed
 complex P2 --x1--> P1.  They also cover the battery of linear A5
 (tests/golden/linear_a5.alg), the largest battery a case closes, and
@@ -26,8 +29,10 @@ is the JSON report of `theorem` on paper_nakayama2 with --field Q, and the
 rational-theorem CI job compares against it under a time limit.  Neither
 is tests/golden/linear_a5-theorem.json, the JSON report of `theorem` on
 linear A5 (tests/golden/linear_a5.alg, with linear_a5.cpx the `silt
-complete` of P2 --x1--> P1); the linear-a5-theorem CI job compares against
-it under a time limit.  Nor are tests/golden/linear_a6-theorem.json, the
+complete` of P2 --x1--> P1), nor are linear_a5-theorem-Q.json and
+linear_a5-endo-Q.txt, its JSON `theorem` and text `endo` reports with
+--field Q; the linear-a5-theorem CI job compares against them under a
+time limit.  Nor are tests/golden/linear_a6-theorem.json, the
 same report on linear A6 (linear_a6.alg, linear_a6.cpx), and
 tests/golden/linear_a6-ar.txt, the text report of `ar` on it, which the
 linear-a6-theorem CI job compares against under a time limit, nor
@@ -100,9 +105,10 @@ def _cases():
     for fx in ("a3_silt", "paper_nakayama2"):
         alg = os.path.join(FIXDIR, fx + ".alg")
         cpx = os.path.join(FIXDIR, fx + ".cpx")
-        out.append((
-            "%s-check-Q.txt" % fx, ["check", alg, cpx, "--field", "Q"],
-        ))
+        for cmd in ("check", "endo", "complete"):
+            out.append((
+                "%s-%s-Q.txt" % (fx, cmd), [cmd, alg, cpx, "--field", "Q"],
+            ))
     # LINEAR_A4 stands for the algebra file that _run writes.
     cpx = os.path.join(GOLDEN, LINEAR_A4 + ".cpx")
     out.append(("linear_a4-battery.json",
@@ -110,7 +116,9 @@ def _cases():
     out.append(("linear_a4-ar.txt", ["ar", LINEAR_A4, cpx]))
     out.append(("linear_a4-theorem.json",
                 ["theorem", LINEAR_A4, cpx, "--report", "json"]))
-    out.append(("linear_a4-ar-Q.txt", ["ar", LINEAR_A4, cpx, "--field", "Q"]))
+    for cmd in ("ar", "endo", "complete"):
+        out.append(("linear_a4-%s-Q.txt" % cmd,
+                    [cmd, LINEAR_A4, cpx, "--field", "Q"]))
     out.append(("linear_a4-theorem-Q.json",
                 ["theorem", LINEAR_A4, cpx, "--field", "Q",
                  "--report", "json"]))

@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -12,6 +13,18 @@ from siltengine.linalg import GF, RationalField
 F5 = GF(5)
 F = GF(32003)
 QQ = RationalField()
+FIXDIR = os.path.join(os.path.dirname(linalg.__file__), "fixtures")
+
+
+def _exact(x):
+    """An exact rational entry: a Python int or a Fraction, never a numpy
+    scalar or a float."""
+    return type(x) is int or type(x) is Fraction
+
+
+def _normal(x):
+    """An exact rational entry that is an int exactly when it is integral."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
 
 
 def test_rref_identity_fixed():
@@ -193,7 +206,7 @@ def test_rational_matmul_equals_dense_dot(seed, m, k, n, density):
     got = QQ.matmul(a, b)
     assert got.shape == (m, n)
     assert np.array_equal(got, a.dot(b))
-    assert all(type(x) is Fraction for x in got.reshape(-1))
+    assert all(_exact(x) for x in got.reshape(-1))
 
 
 def test_rational_matmul_rejects_shape_mismatch():
@@ -364,7 +377,7 @@ def test_rref_equals_numpy_row_operations(seed, F, rows, cols, unreduced):
     assert got.dtype == want.dtype == a.dtype
     assert np.array_equal(got, want)
     if not isinstance(F, GF):
-        assert all(type(x) is Fraction for x in got.reshape(-1))
+        assert all(_normal(x) for x in got.reshape(-1))
 
 
 def test_rational_array_makes_python_int_numerators():
@@ -374,10 +387,192 @@ def test_rational_array_makes_python_int_numerators():
     )
     cube = QQ.matmul(QQ.matmul(a, a), a)
     assert cube[0, 0] == 3**60 and cube[1, 1] == 1
-    # Fractions and Python ints pass through unchanged
-    b = QQ.array(np.array([[Fraction(1, 3), 2]], dtype=object))
-    assert b[0, 0] == Fraction(1, 3) and b[0, 1] == 2
-    assert all(type(x) is Fraction for x in b.reshape(-1))
+    # Fractions and Python ints keep their values; integral ones are ints
+    b = QQ.array(np.array([[Fraction(1, 3), 2, Fraction(6, 3)]], dtype=object))
+    assert b[0, 0] == Fraction(1, 3) and b[0, 1] == 2 and b[0, 2] == 2
+    assert all(_normal(x) for x in b.reshape(-1))
+    assert [type(x) for x in b.reshape(-1)] == [Fraction, int, int]
+
+
+# ---- int-or-Fraction kernels against the Fraction-only bodies -------------
+
+
+def _ref_q_array(data):
+    """RationalField.array when every entry was a Fraction."""
+    a = np.asarray(data)
+    out = np.empty(a.shape, dtype=object)
+    flat_out, flat_in = out.reshape(-1), a.reshape(-1)
+    for i in range(flat_in.size):
+        x = flat_in[i]
+        flat_out[i] = Fraction(int(x) if isinstance(x, np.integer) else x)
+    return out
+
+
+def _ref_q_zeros(shape):
+    out = np.empty(shape, dtype=object)
+    out.fill(Fraction(0))
+    return out
+
+
+def _ref_q_matmul(a, b):
+    """RationalField.matmul when every entry was a Fraction."""
+    if a.shape[1] != b.shape[0]:
+        raise ValueError("shape mismatch")
+    out = _ref_q_zeros((a.shape[0], b.shape[1]))
+    rows, ks = np.nonzero(a.astype(bool))
+    support = {
+        k: np.flatnonzero(b[k].astype(bool)) for k in set(ks.tolist())
+    }
+    for i, k in zip(rows.tolist(), ks.tolist()):
+        s = support[k]
+        if s.size:
+            out[i, s] += a[i, k] * b[k, s]
+    return out
+
+
+def _ref_q_rref(a):
+    """linalg.rref over Q when every entry was a Fraction: every pivot row
+    scaled by Fraction(1) / pivot, no entry normalized."""
+    a = np.asarray(a)
+    nrows, ncols = a.shape
+    rows = a.tolist()
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        k = r
+        while k < nrows and not rows[k][c]:
+            k += 1
+        if k == nrows:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        prow = rows[r]
+        inv = Fraction(1) / prow[c]
+        nz = [j for j in range(c, ncols) if prow[j]]
+        for j in nz:
+            prow[j] = prow[j] * inv
+        for i in range(nrows):
+            row = rows[i]
+            f = row[c]
+            if i == r or not f:
+                continue
+            for j in nz:
+                row[j] -= f * prow[j]
+        pivots.append(c)
+        r += 1
+    return np.array(rows, dtype=a.dtype).reshape(nrows, ncols), pivots
+
+
+_BIG = 3 ** 60
+# zero, large integers (as Python ints or, small enough, numpy int64) and
+# Fractions with denominators up to 50, integral ones among them
+_Q_ENTRIES = st.one_of(
+    st.just(0),
+    st.just(Fraction(0)),
+    st.integers(-_BIG, _BIG),
+    st.integers(-2 ** 62, 2 ** 62).map(np.int64),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, 50)),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50)),
+)
+
+
+@st.composite
+def _q_matrices(draw, shape=None):
+    """Object matrices of _Q_ENTRIES, with whole zero rows now and then
+    and, on request, a last row that is a combination of two others."""
+    m, n = shape if shape else (draw(st.integers(0, 5)),
+                                draw(st.integers(0, 6)))
+    a = np.empty((m, n), dtype=object)
+    for i in range(m):
+        for j in range(n):
+            a[i, j] = draw(_Q_ENTRIES)
+    for i in draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=2)):
+        if i < m:
+            a[i] = 0
+    if m >= 3 and draw(st.booleans()):
+        c = draw(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)))
+        a[m - 1] = QQ.array(a[0]) * c + QQ.array(a[1])
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(_q_matrices())
+def test_q_array_equals_fraction_reference(data):
+    got = QQ.array(data)
+    assert got.shape == data.shape
+    assert np.array_equal(got, _ref_q_array(data))
+    assert all(_normal(x) for x in got.reshape(-1))
+
+
+def test_q_array_of_nested_lists_and_scalars():
+    got = QQ.array([[np.int64(2 ** 62), Fraction(4, 2)], [Fraction(1, 2), 0]])
+    assert [type(x) for x in got.reshape(-1)] == [int, int, Fraction, int]
+    assert QQ.array(3)[()] == 3 and type(QQ.array(3)[()]) is int
+    assert QQ.array(np.zeros((0, 4), dtype=np.int64)).shape == (0, 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_q_matrices())
+def test_q_rref_equals_fraction_reference(data):
+    a = QQ.array(data)
+    before = a.copy()
+    got, pivots = linalg.rref(QQ, a)
+    want, want_pivots = _ref_q_rref(_ref_q_array(data))
+    assert np.array_equal(a, before)
+    assert pivots == want_pivots
+    assert got.shape == want.shape == a.shape and got.dtype == object
+    assert np.array_equal(got, want)
+    assert all(_normal(x) for x in got.reshape(-1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_q_matrices())
+def test_q_rref_normalizes_unreduced_input(data):
+    """Integral Fractions and numpy integers on the way in come out as
+    ints, untouched columns included."""
+    got, _ = linalg.rref(QQ, data)
+    assert np.array_equal(got, _ref_q_rref(_ref_q_array(data))[0])
+    assert all(_normal(x) for x in got.reshape(-1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_q_matmul_equals_fraction_reference(m, k, n, data):
+    a = QQ.array(data.draw(_q_matrices((m, k))))
+    b = QQ.array(data.draw(_q_matrices((k, n))))
+    want = _ref_q_matmul(a, b)
+    for got in (QQ.matmul(a, b), QQ.matmul(a, b, QQ.sparse_rows(b))):
+        assert got.shape == (m, n)
+        assert np.array_equal(got, want)
+        assert all(_exact(x) for x in got.reshape(-1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_Q_ENTRIES.filter(bool))
+def test_q_inv_equals_fraction_reference(x):
+    got = QQ.inv(x)
+    assert got == Fraction(1) / Fraction(int(x) if isinstance(
+        x, np.integer) else x)
+    assert _normal(got)
+
+
+def test_q_inv_keeps_units_and_zeros_eye_are_ints():
+    assert [QQ.inv(1), QQ.inv(-1)] == [1, -1]
+    assert type(QQ.inv(1)) is int and type(QQ.inv(-1)) is int
+    assert QQ.inv(Fraction(1, 3)) == 3 and type(QQ.inv(Fraction(1, 3))) is int
+    for arr in (QQ.zeros((2, 3)), QQ.eye(3), QQ.zeros((0, 2)), QQ.eye(0)):
+        assert all(type(x) is int for x in arr.reshape(-1))
+    assert np.array_equal(QQ.eye(3), _ref_q_array(np.eye(3, dtype=np.int64)))
+
+
+def test_q_rand_draws_as_the_fraction_reference():
+    rng, ref = random.Random(5), random.Random(5)
+    for _ in range(500):
+        x = QQ.rand(rng)
+        assert x == Fraction(ref.randrange(-100, 101), ref.randrange(1, 20))
+        assert _normal(x)
+    assert rng.getstate() == ref.getstate()
 
 
 # ---- algebra products against the einsum forms they replaced -------------
@@ -422,6 +617,53 @@ def test_matrix_product_algebra_forms_equal_einsum(field):
                 assert np.array_equal(A.el_mult(x, y), _ref_el_mult(A, x, y))
                 assert np.array_equal(A._corner_pair_space(x, y),
                                       _ref_pair_space(A, x, y))
+
+
+def test_q_lm_rm_read_prepared_rows_as_the_dense_product():
+    rng = random.Random(11)
+    for A in _fixture_algebras(QQ):
+        d = A.dim
+        xs = [A.unit()] + [_rand_element(A, rng) for _ in range(3)]
+        batch = np.stack(xs)
+        want = _ref_q_matmul(batch, A.mult.reshape(d, d * d))
+        assert np.array_equal(A.lm(batch), want.reshape(len(xs), d, d))
+        for x in xs:
+            assert np.array_equal(
+                A.rm(x), np.einsum("i,jik->jk", x, A.mult))
+            assert all(_exact(v) for v in A.rm(x).reshape(-1))
+        assert all(_exact(v) for v in A.lm(batch).reshape(-1))
+
+
+def _object_arrays(ctx):
+    """The structure tables, differential entries and action matrices the
+    engine builds for one silting context."""
+    yield ctx.A.mult
+    yield ctx.B.mult
+    for alg in (ctx.A, ctx.B):
+        yield alg.radical()
+        for grp in alg.decompose_identity():
+            yield from grp
+    for cpx in (ctx.P, ctx.Q):
+        yield from cpx.diffs.values()
+        for d in cpx.degrees():
+            yield from cpx.term(d).act
+
+
+@pytest.mark.parametrize("fixture", ["a2_tilt", "a3_silt", "paper_nakayama2"])
+def test_q_engine_entries_are_ints_or_fractions(fixture):
+    from siltengine import cli, silting
+
+    with open(os.path.join(FIXDIR, fixture + ".alg"), encoding="utf-8") as fh:
+        A = cli.parse_algebra(fh.read(), QQ)
+    with open(os.path.join(FIXDIR, fixture + ".cpx"), encoding="utf-8") as fh:
+        _, P = cli.parse_complex(fh.read(), A)
+    ctx = silting.SiltingContext(P, random.Random(0))
+    seen = 0
+    for arr in _object_arrays(ctx):
+        assert arr.dtype == object
+        assert all(_exact(x) for x in arr.reshape(-1))
+        seen += arr.size
+    assert seen
 
 
 def test_gf_refuses_p_at_least_2_to_the_24():
